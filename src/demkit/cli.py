@@ -2,8 +2,11 @@
 
 Subcommands: ``dem`` (exact monitoring number), ``gen`` (emit an edge list),
 ``cover`` (vertex cover number), ``verify`` (run the formula/bound/sharpness
-suites), ``compare`` (the distance-parameter comparison table). Graphs are
-given either as an edge-list file path or inline as ``gen=<expression>``.
+suites), ``compare`` (monitoring number against the metric, edge metric and
+strong metric dimensions). Graphs are given either as an edge-list file path
+or inline as ``gen=<expression>``. Every exact solver, the comparison
+dimensions included, refuses graphs above one vertex cap: ``--max-n``,
+defaulting to ``DEMKIT_MAX_N`` or else 24.
 
 Exit status: 0 on success, 1 when a verification suite reports a failure,
 2 on usage or input errors. Identical arguments (and seed) produce
@@ -31,7 +34,12 @@ from .errors import (
 from .exprs import build, canonical, parse_expr
 from .formulas import SUITES, run_suite
 from .graph import Graph, format_edge_list, parse_edge_list
-from .monitoring import DEFAULT_ENUMERATION_CAP, dem_number, greedy_dem
+from .monitoring import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_MAX_N,
+    dem_number,
+    greedy_dem,
+)
 
 FORMATS = ("json", "csv", "plain")
 
@@ -55,7 +63,7 @@ def _default_max_n() -> int:
         except ValueError:
             pass
         print(f"demkit: ignoring bad DEMKIT_MAX_N={env!r}", file=sys.stderr)
-    return 24
+    return DEFAULT_MAX_N
 
 
 def _load_graph(token: str) -> tuple[Graph, str]:
@@ -217,9 +225,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     reports = []
     for token in args.graphs:
         g, name = _load_graph(token)
-        reports.append(
-            compare_graph(g, name, dem_max_n=args.max_n, max_n=args.dim_max_n)
-        )
+        reports.append(compare_graph(g, name, max_n=args.max_n))
     if args.format == "json":
         docs = [
             {
@@ -294,10 +300,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="distance-parameter comparison table")
     p.add_argument("graphs", nargs="+", help="edge-list files or gen=<expression>s")
-    p.add_argument(
-        "--dim-max-n", type=int, default=12,
-        help="cap for the exhaustive dimension solvers",
-    )
     common(p, "csv")
     p.set_defaults(run=_run_compare)
     return parser

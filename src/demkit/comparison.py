@@ -1,10 +1,12 @@
-"""Exhaustive reference solvers for three distance-based dimensions.
+"""Three distance-based dimensions, solved by the covering engine.
 
 Metric dimension (vertex pairs split by distance), edge metric dimension
 (edge pairs split by vertex-edge distance), and strong metric dimension
-(vertex pairs strongly resolved via shortest-path containment). All three are
-minimum covering problems over pair-resolving bitmasks, searched plainly by
-increasing subset size; they are reference oracles, kept simple and capped.
+(vertex pairs strongly resolved via shortest-path containment). Each is a
+minimum hitting set with one column per pair, the mask of the vertices that
+resolve it, so all three run through :mod:`demkit.hitting` like the
+monitoring number does, under the same vertex cap. The witness is the
+lexicographically smallest minimum set.
 """
 
 from __future__ import annotations
@@ -13,28 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import CapExceededError, GraphError
+from . import hitting
+from .errors import CapExceededError
 from .graph import Graph
-from .monitoring import dem_number
-
-DEFAULT_MAX_N = 12
-
-
-def _smallest_cover(
-    masks: list[int], full: int, n: int
-) -> tuple[int, tuple[int, ...]]:
-    """Smallest vertex subset whose resolving masks OR to ``full``; first hit
-    in combinations order is the lexicographically smallest of its size."""
-    if full == 0:
-        return 0, ()
-    for k in range(1, n + 1):
-        for subset in combinations(range(n), k):
-            acc = 0
-            for v in subset:
-                acc |= masks[v]
-            if acc == full:
-                return k, subset
-    raise GraphError("no resolving set exists")  # unreachable for valid input
+from .monitoring import DEFAULT_MAX_N, dem_number
 
 
 def _check_cap(g: Graph, max_n: int, what: str) -> None:
@@ -61,13 +45,11 @@ def metric_dimension(
     signature."""
     _check_cap(g, max_n, "metric dimension solver")
     d = g.distance_matrix
-    pairs = _vertex_pairs(g)
-    masks = [0] * g.n
-    for idx, (u, v) in enumerate(pairs):
-        for x in range(g.n):
-            if d[u][x] != d[v][x]:
-                masks[x] |= 1 << idx
-    return _smallest_cover(masks, (1 << len(pairs)) - 1, g.n)
+    columns = [
+        sum(1 << x for x in range(g.n) if d[u][x] != d[v][x])
+        for u, v in _vertex_pairs(g)
+    ]
+    return hitting.lexicographic_minimum(columns, g.n)
 
 
 def _edge_distances(g: Graph) -> list[list[int]]:
@@ -93,14 +75,11 @@ def edge_metric_dimension(
     signature (vertex-edge distance = nearer endpoint)."""
     _check_cap(g, max_n, "edge metric dimension solver")
     ed = _edge_distances(g)
-    pairs = list(combinations(range(g.m), 2))
-    masks = [0] * g.n
-    for idx, (e1, e2) in enumerate(pairs):
-        row1, row2 = ed[e1], ed[e2]
-        for x in range(g.n):
-            if row1[x] != row2[x]:
-                masks[x] |= 1 << idx
-    return _smallest_cover(masks, (1 << len(pairs)) - 1, g.n)
+    columns = [
+        sum(1 << x for x in range(g.n) if row1[x] != row2[x])
+        for row1, row2 in combinations(ed, 2)
+    ]
+    return hitting.lexicographic_minimum(columns, g.n)
 
 
 def _strongly_resolves(d, u: int, v: int, x: int) -> bool:
@@ -123,13 +102,11 @@ def strong_metric_dimension(
     """Smallest set strongly resolving every vertex pair."""
     _check_cap(g, max_n, "strong metric dimension solver")
     d = g.distance_matrix
-    pairs = _vertex_pairs(g)
-    masks = [0] * g.n
-    for idx, (u, v) in enumerate(pairs):
-        for x in range(g.n):
-            if _strongly_resolves(d, u, v, x):
-                masks[x] |= 1 << idx
-    return _smallest_cover(masks, (1 << len(pairs)) - 1, g.n)
+    columns = [
+        sum(1 << x for x in range(g.n) if _strongly_resolves(d, u, v, x))
+        for u, v in _vertex_pairs(g)
+    ]
+    return hitting.lexicographic_minimum(columns, g.n)
 
 
 @dataclass(frozen=True)
@@ -153,10 +130,9 @@ def compare_graph(
     g: Graph,
     name: str = "graph",
     *,
-    dem_max_n: int = 24,
     max_n: int = DEFAULT_MAX_N,
 ) -> ComparisonReport:
-    dem = dem_number(g, max_n=dem_max_n)
+    dem = dem_number(g, max_n=max_n)
     dim, dim_w = metric_dimension(g, max_n=max_n)
     edim, edim_w = edge_metric_dimension(g, max_n=max_n)
     dim_s, dim_s_w = strong_metric_dimension(g, max_n=max_n)

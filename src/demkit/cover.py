@@ -13,8 +13,7 @@ from typing import Iterable
 from . import hitting
 from .errors import CapExceededError, GraphError
 from .graph import Graph
-
-DEFAULT_MAX_N = 24
+from .monitoring import DEFAULT_MAX_N
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,4 @@ def vertex_cover_number(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> CoverResult:
     if g.m == 0:
         return CoverResult(0, ())
     columns = [(1 << u) | (1 << v) for u, v in g.edges]
-    value, _ = hitting.minimum_hitting_set(columns)
-    witness = hitting.lexicographically_smallest(columns, g.n, value)
-    return CoverResult(value, witness)
+    return CoverResult(*hitting.lexicographic_minimum(columns, g.n))

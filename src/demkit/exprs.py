@@ -4,7 +4,10 @@ A family is a colon-separated token, e.g. ``book:4``, ``bipartite:2:3``,
 ``randconn:8:1/3:seed=42``. A product wraps two expressions, e.g.
 ``cartesian(path:3,cycle:4)`` or ``cluster(cycle:4,path:2,root=0)``; the
 argument separator may be ``,`` or ``|`` (canonical output uses ``|`` so the
-strings stay comma-free for CSV reports). Products nest arbitrarily.
+strings stay comma-free for CSV reports). Products nest up to
+``MAX_NESTING`` deep; deeper input is rejected before the parser recurses
+into it, so the recursive parse, build and printing stay far below the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .families import SHORT_NAMES, FamilySpec, family_order, generate
 from .graph import Graph
 
 PRODUCT_OPS = ("join", "corona", "cluster", "cartesian")
+MAX_NESTING = 100
 
 _KIND_ALIASES = {
     "path": "path",
@@ -103,6 +107,10 @@ def _parse_family(text: str) -> FamilySpec:
 
 def parse_expr(text: str) -> GraphExpr:
     """Parse a family or product expression."""
+    return _parse(text, 0)
+
+
+def _parse(text: str, depth: int) -> GraphExpr:
     s = text.strip()
     if not s:
         raise ExpressionError("empty graph expression")
@@ -124,7 +132,13 @@ def parse_expr(text: str) -> GraphExpr:
                     root = 0
             if len(args) != 2:
                 raise ExpressionError(f"{op} expects two graph arguments in {s!r}")
-            return ProductSpec(op, parse_expr(args[0]), parse_expr(args[1]), root)
+            if depth == MAX_NESTING:
+                raise ExpressionError(
+                    f"graph expression nests products more than {MAX_NESTING} deep"
+                )
+            return ProductSpec(
+                op, _parse(args[0], depth + 1), _parse(args[1], depth + 1), root
+            )
     return _parse_family(s)
 
 

@@ -20,10 +20,7 @@ from .cover import vertex_cover_number
 from .errors import CapExceededError
 from .exprs import FamilySpec, GraphExpr, ProductSpec, build, canonical, order_of, parse_expr
 from .graph import Graph
-from .monitoring import dem_number
-
-DEFAULT_MAX_N = 24
-DEFAULT_ENUMERATION_CAP = 100_000
+from .monitoring import DEFAULT_ENUMERATION_CAP, DEFAULT_MAX_N, dem_number
 
 SUITES = ("formulas", "bounds", "sharpness", "all")
 
@@ -486,7 +483,7 @@ def bounds_instances(seed: int = 0) -> list[str]:
     out = [
         f"cartesian({a}|{b})"
         for a, b in combinations_with_replacement(factors, 2)
-        if order_of(parse_expr(f"cartesian({a}|{b})")) <= 24
+        if order_of(parse_expr(f"cartesian({a}|{b})")) <= DEFAULT_MAX_N
     ]
     out += [
         "cluster(cycle:4|cycle:3)",

@@ -1,14 +1,20 @@
 """Exact minimum hitting set over bitmask columns.
 
 A column is an int whose set bits are the vertices allowed to hit that
-constraint. The solver is branch-and-bound: branch on the column with the
+constraint. Every exact value the package reports is such an instance: the
+monitoring number (one column per edge: the probes that monitor it), vertex
+cover (the endpoint pairs) and the metric, edge metric and strong metric
+dimensions (one column per pair: the vertices that resolve it).
+
+``_solve`` is the one branch-and-bound loop: branch on the column with the
 fewest candidates (ties by candidate coverage, then mask value), prune with a
 greedy disjoint-column lower bound, and split into independent components
 whenever the uncovered columns fall apart. Sibling branches exclude already
-tried vertices, so no partial solution is explored twice.
-
-Also provides bounded-budget feasibility, lexicographically-smallest witness
-extraction, and capped enumeration of all minimum solutions.
+tried vertices, so no partial solution is explored twice. Given a target
+size, it stops at the first solution that small, which makes it the
+bounded-budget feasibility test behind lexicographically-smallest witness
+extraction. Capped enumeration of all minimum solutions keeps its own loop,
+since it must list every set rather than find one.
 """
 
 from __future__ import annotations
@@ -103,11 +109,15 @@ class _Counter:
         self.nodes = 0
 
 
-def _solve(cols: list[int], counter: _Counter, cap: int | None = None) -> int:
+def _solve(
+    cols: list[int], counter: _Counter, cap: int | None = None, target: int = -1
+) -> int:
     """Exact minimum hitting size of reduced, nonempty columns.
 
-    ``cap`` (when given) is a known achievable size; only strictly smaller
-    solutions are searched for and ``cap`` is returned if none exists.
+    ``cap`` (when given) bounds the search from above: only solutions smaller
+    than ``cap`` are searched for, and a value >= ``cap`` is returned if none
+    exists. The search stops at the first solution of size <= ``target`` and
+    returns that size, which is then achievable but not necessarily minimum.
     """
     if not cols:
         return 0
@@ -117,6 +127,8 @@ def _solve(cols: list[int], counter: _Counter, cap: int | None = None) -> int:
     best = len(greedy_hitting(cols))
     if cap is not None and cap < best:
         best = cap
+    if best <= target:
+        return best
 
     def rec(uncovered: list[int], size: int) -> None:
         nonlocal best
@@ -151,6 +163,8 @@ def _solve(cols: list[int], counter: _Counter, cap: int | None = None) -> int:
                 rest.append(c2)
             if not dead:
                 rec(rest, size + 1)
+                if best <= target:
+                    return
             banned |= 1 << v
 
     rec(cols, 0)
@@ -173,50 +187,10 @@ def minimum_hitting_set(
 
 def exists_hitting_set(columns: Sequence[int], budget: int) -> bool:
     """True iff some hitting set of size <= budget exists."""
-    if any(c == 0 for c in columns):
+    if budget < 0 or any(c == 0 for c in columns):
         return False
     cols = reduce_columns(columns)
-    if budget < 0:
-        return not cols
-
-    def feasible(cols: list[int], budget: int) -> bool:
-        if not cols:
-            return True
-        if budget <= 0:
-            return False
-        comps = _components(cols)
-        if len(comps) > 1:
-            counter = _Counter()
-            total = 0
-            for comp in comps:
-                total += _solve(comp, counter)
-                if total > budget:
-                    return False
-            return True
-        if len(greedy_hitting(cols)) <= budget:
-            return True
-        if disjoint_lower_bound(cols) > budget:
-            return False
-        count = _coverage(cols)
-        column = _branch_column(cols, count)
-        banned = 0
-        for v in sorted(bits(column), key=lambda x: (-count[x], x)):
-            rest: list[int] = []
-            dead = False
-            for c in cols:
-                if (c >> v) & 1:
-                    continue
-                c2 = c & ~banned
-                if c2 == 0:
-                    dead = True
-                    break
-                rest.append(c2)
-            if not dead and feasible(rest, budget - 1):
-                return True
-            banned |= 1 << v
-        return False
-
-    return feasible(cols, budget)
+    return _solve(cols, _Counter(), cap=budget + 1, target=budget) <= budget
 
 
 def lexicographically_smallest(
@@ -240,6 +214,15 @@ def lexicographically_smallest(
     if remaining or budget:
         raise ValueError("no hitting set of the requested size exists")
     return tuple(chosen)
+
+
+def lexicographic_minimum(
+    columns: Sequence[int], n: int
+) -> tuple[int, tuple[int, ...]]:
+    """Exact minimum hitting-set size and the lexicographically smallest
+    minimum set."""
+    value, _ = minimum_hitting_set(columns)
+    return value, lexicographically_smallest(columns, n, value)
 
 
 def enumerate_minimum_sets(

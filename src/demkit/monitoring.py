@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import hitting
-from .cover import vertex_cover_number
 from .errors import CapExceededError, GraphError
 from .graph import Graph
 
@@ -196,8 +195,7 @@ def dem_number(
 
     The witness is the lexicographically smallest minimum set; with
     ``enumerate_all`` every minimum set is listed (capped). Branch and bound
-    over the hitting-set instance, seeded with the better of the greedy
-    monitoring set and the exact vertex cover (always a valid monitoring set).
+    over the hitting-set instance, seeded with the greedy monitoring set.
     """
     if g.n > max_n:
         raise CapExceededError("monitoring solver", g.n, max_n)
@@ -205,11 +203,9 @@ def dem_number(
         sets = ((),) if enumerate_all else None
         return DemResult(g.n, 0, 0, (), sets, 0)
     matrix = monitor_matrix(g, max_n=max_n)
-    upper = min(
-        len(greedy_dem(g, matrix)),
-        vertex_cover_number(g, max_n=max_n).value,
+    value, nodes = hitting.minimum_hitting_set(
+        matrix.cols, upper=len(greedy_dem(g, matrix))
     )
-    value, nodes = hitting.minimum_hitting_set(matrix.cols, upper=upper)
     if enumerate_all:
         sets = hitting.enumerate_minimum_sets(
             matrix.cols, g.n, value, enumeration_cap

@@ -77,6 +77,52 @@ def brute_vertex_cover(n, edges):
     raise AssertionError("unreachable")
 
 
+def _first_cover(n, pairs, resolves):
+    """(size, subset) of the first vertex subset, by increasing size in
+    combinations order, holding for every pair a vertex that resolves it."""
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            if all(any(resolves(p, x) for x in subset) for p in pairs):
+                return k, subset
+    raise AssertionError("no resolving set found")
+
+
+def brute_metric_dimension(n, edges):
+    """Metric dimension: some chosen x has d(x, u) != d(x, v) for every
+    vertex pair u, v."""
+    d = distance_matrix(n, edges)
+    return _first_cover(
+        n,
+        list(combinations(range(n), 2)),
+        lambda p, x: d[x][p[0]] != d[x][p[1]],
+    )
+
+
+def brute_edge_metric_dimension(n, edges):
+    """Edge metric dimension: some chosen x is at different distances from
+    the two edges of every edge pair, the distance from x to edge ab being
+    min(d(x, a), d(x, b))."""
+    d = distance_matrix(n, edges)
+    to_edge = [[min(d[x][a], d[x][b]) for a, b in edges] for x in range(n)]
+    return _first_cover(
+        n,
+        list(combinations(range(len(edges)), 2)),
+        lambda p, x: to_edge[x][p[0]] != to_edge[x][p[1]],
+    )
+
+
+def brute_strong_metric_dimension(n, edges):
+    """Strong metric dimension: for every vertex pair u, v some chosen x has
+    u on a shortest x-v path or v on a shortest x-u path."""
+    d = distance_matrix(n, edges)
+
+    def resolves(p, x):
+        u, v = p
+        return d[x][v] == d[x][u] + d[u][v] or d[x][u] == d[x][v] + d[v][u]
+
+    return _first_cover(n, list(combinations(range(n), 2)), resolves)
+
+
 def connected_edge_subsets(n):
     """All labeled connected graphs on exactly n vertices, as edge lists."""
     all_edges = list(combinations(range(n), 2))

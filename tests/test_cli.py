@@ -4,6 +4,7 @@ import pytest
 
 from demkit import parse_edge_list
 from demkit.cli import main
+from demkit.exprs import MAX_NESTING
 
 from conftest import book
 
@@ -82,6 +83,22 @@ class TestGen:
         code, _, err = run(capsys, "gen", "pyramid:3")
         assert code == 2 and "pyramid" in err
 
+    @staticmethod
+    def _nested_joins(depth):
+        return "join(" * depth + "path:1" + "|path:1)" * depth
+
+    def test_deep_nesting_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen", self._nested_joins(1000))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"more than {MAX_NESTING} deep" in err
+
+    def test_nesting_at_the_limit_parses(self, capsys):
+        # MAX_NESTING joins over single vertices build the complete graph
+        code, out, _ = run(capsys, "gen", self._nested_joins(MAX_NESTING))
+        n = MAX_NESTING + 1
+        assert code == 0 and len(out.splitlines()) == n * (n - 1) // 2
+
 
 class TestCover:
     def test_json(self, capsys):
@@ -144,13 +161,11 @@ class TestCompare:
         assert lines[2].startswith("path:5,5,4,1,1,1,")
 
     def test_cap_applies(self, capsys):
-        code, _, err = run(capsys, "compare", "gen=cartesian(path:4|path:4)")
+        code, _, err = run(capsys, "compare", "gen=cartesian(path:5|path:5)")
         assert code == 2 and "cap" in err
 
-    def test_dim_cap_can_be_raised(self, capsys):
-        code, out, _ = run(
-            capsys, "compare", "gen=cartesian(path:4|path:4)", "--dim-max-n", "16"
-        )
+    def test_default_cap_covers_the_dimensions(self, capsys):
+        code, out, _ = run(capsys, "compare", "gen=cartesian(path:4|path:4)")
         assert code == 0 and out.splitlines()[1].split(",")[3] == "4"
 
 

@@ -1,7 +1,9 @@
 import pytest
 
+import oracles
 from demkit import (
     CapExceededError,
+    Graph,
     cartesian,
     compare_graph,
     dem_number,
@@ -15,7 +17,7 @@ from demkit.comparison import (
     is_strong_resolving_set,
 )
 
-from conftest import complete, cycle, path
+from conftest import complete, cycle, path, random_connected
 
 
 def grid(m, n):
@@ -107,7 +109,32 @@ class TestCrossChecks:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            metric_dimension(torus(4, 4))
+            metric_dimension(torus(5, 5))
+
+
+DIMENSIONS = (
+    (metric_dimension, oracles.brute_metric_dimension),
+    (edge_metric_dimension, oracles.brute_edge_metric_dimension),
+    (strong_metric_dimension, oracles.brute_strong_metric_dimension),
+)
+
+
+class TestAgainstOracles:
+    """Value and witness equal the first subset of the plain search by
+    increasing size in combinations order (tests/oracles.py)."""
+
+    def test_every_connected_graph_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for edges in oracles.connected_edge_subsets(n):
+                g = Graph(n, edges)
+                for solve, brute in DIMENSIONS:
+                    assert solve(g) == brute(n, edges), (solve.__name__, n, edges)
+
+    def test_seeded_random_graphs_up_to_eight_vertices(self):
+        for seed in range(60):
+            g = random_connected(6 + seed % 3, 1 + seed % 3, 4, seed)
+            for solve, brute in DIMENSIONS:
+                assert solve(g) == brute(g.n, list(g.edges)), (solve.__name__, seed)
 
 
 def test_compare_report():

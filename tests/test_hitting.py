@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demkit.errors import EnumerationCapExceededError
 from demkit.hitting import (
@@ -68,3 +72,33 @@ def test_greedy_is_valid():
     cols = masks({0, 1}, {1, 2}, {2, 3}, {0, 3})
     chosen = greedy_hitting(cols)
     assert all(any((c >> v) & 1 for v in chosen) for c in cols)
+
+
+def _first_hitting_set(cols, n):
+    """The first hitting set by increasing size in combinations order."""
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            mask = sum(1 << v for v in subset)
+            if all(c & mask for c in cols):
+                return subset
+    return None
+
+
+@st.composite
+def column_sets(draw):
+    n = draw(st.integers(1, 8))
+    cols = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+    return n, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_sets())
+def test_feasibility_and_witness_match_subset_search(case):
+    n, cols = case
+    first = _first_hitting_set(cols, n)
+    for budget in range(-1, n + 1):
+        expected = first is not None and len(first) <= budget
+        assert exists_hitting_set(cols, budget) == expected, budget
+    if first is not None:
+        assert minimum_hitting_set(cols)[0] == len(first)
+        assert lexicographically_smallest(cols, n, len(first)) == first
