@@ -1,13 +1,15 @@
 """Text grammar for graph expressions.
 
 A family is a colon-separated token, e.g. ``book:4``, ``bipartite:2:3``,
-``randconn:8:1/3:seed=42``. A product wraps two expressions, e.g.
-``cartesian(path:3,cycle:4)`` or ``cluster(cycle:4,path:2,root=0)``; the
-argument separator may be ``,`` or ``|`` (canonical output uses ``|`` so the
-strings stay comma-free for CSV reports). Products nest up to
-``MAX_NESTING`` deep; deeper input is rejected before the parser recurses
-into it, so the recursive parse, build and printing stay far below the
-interpreter's recursion limit.
+``randconn:8:1/3:seed=42``. Its first part is a kind's short token or full
+name in ``families.FAMILIES``; that table also checks the parameter count
+and the seed, when the family is sized (``order_of``) or built. A product
+wraps two expressions, e.g. ``cartesian(path:3,cycle:4)`` or
+``cluster(cycle:4,path:2,root=0)``; the argument separator may be ``,`` or
+``|`` (canonical output uses ``|`` so the strings stay comma-free for CSV
+reports). Products nest up to ``MAX_NESTING`` deep; deeper input is rejected
+before the parser recurses into it, so the recursive parse, build and
+printing stay far below the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -17,25 +19,11 @@ from typing import Union
 
 from . import products
 from .errors import ExpressionError
-from .families import SHORT_NAMES, FamilySpec, family_order, generate
+from .families import KIND_OF_TOKEN, FamilySpec, family_order, generate
 from .graph import Graph
 
 PRODUCT_OPS = ("join", "corona", "cluster", "cartesian")
 MAX_NESTING = 100
-
-_KIND_ALIASES = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "bipartite": "complete_bipartite",
-    "complete_bipartite": "complete_bipartite",
-    "book": "book",
-    "hypercube": "hypercube",
-    "randtree": "random_tree",
-    "random_tree": "random_tree",
-    "randconn": "random_connected",
-    "random_connected": "random_connected",
-}
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,7 @@ def _parse_int(token: str, what: str) -> int:
 
 def _parse_family(text: str) -> FamilySpec:
     parts = text.split(":")
-    kind = _KIND_ALIASES.get(parts[0])
+    kind = KIND_OF_TOKEN.get(parts[0])
     if kind is None:
         raise ExpressionError(f"unknown family kind {parts[0]!r} in {text!r}")
     params: list[int] = []

@@ -1,9 +1,11 @@
 """Generators for the named graph families.
 
-Deterministic kinds (paths, cycles, complete and complete bipartite graphs,
-books, hypercubes) take integer parameters; the random kinds (uniform labeled
-trees, connected Erdos-Renyi samples) additionally require a seed and are
-reproducible from it.
+``FAMILIES`` is the one table of families: for each kind it gives the short
+token of the expression grammar, the number of integer parameters, whether a
+seed is needed, the generator and the vertex count. Deterministic kinds
+(paths, cycles, complete and complete bipartite graphs, books, hypercubes)
+take integer parameters only; the random kinds (uniform labeled trees,
+connected Erdos-Renyi samples) also need a seed and are reproducible from it.
 """
 
 from __future__ import annotations
@@ -11,27 +13,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .errors import GenerationError
+from .errors import DisconnectedGraphError, GenerationError
 from .graph import Graph
-
-KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "book",
-    "hypercube",
-    "random_tree",
-    "random_connected",
-)
-
-# short tokens used by the expression grammar and the CLI
-SHORT_NAMES = {
-    "complete_bipartite": "bipartite",
-    "random_tree": "randtree",
-    "random_connected": "randconn",
-}
 
 RANDOM_CONNECTED_MAX_TRIES = 1000
 
@@ -45,8 +30,8 @@ class FamilySpec:
     seed: int | None = None
 
     def __str__(self) -> str:
-        name = SHORT_NAMES.get(self.kind, self.kind)
-        parts = [name]
+        family = FAMILIES.get(self.kind)
+        parts = [family.token if family else self.kind]
         if self.kind == "random_connected" and len(self.params) == 3:
             n, num, den = self.params
             parts += [str(n), f"{num}/{den}"]
@@ -55,20 +40,6 @@ class FamilySpec:
         if self.seed is not None:
             parts.append(f"seed={self.seed}")
         return ":".join(parts)
-
-
-def _need(spec: FamilySpec, count: int) -> tuple[int, ...]:
-    if len(spec.params) != count:
-        raise GenerationError(
-            f"{spec.kind} expects {count} integer parameter(s), got {spec.params}"
-        )
-    return spec.params
-
-
-def _rng(spec: FamilySpec) -> random.Random:
-    if spec.seed is None:
-        raise GenerationError(f"{spec.kind} requires a seed")
-    return random.Random(spec.seed)
 
 
 def path(n: int) -> Graph:
@@ -143,25 +114,6 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def _is_connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
-
-
 def random_connected(n: int, p_num: int, p_den: int, rng: random.Random) -> Graph:
     """Erdos-Renyi G(n, p) sample, rejected until connected (bounded retries)."""
     if n < 1:
@@ -176,47 +128,70 @@ def random_connected(n: int, p_num: int, p_den: int, rng: random.Random) -> Grap
             for j in range(i + 1, n)
             if rng.random() < p
         ]
-        if _is_connected(n, edges):
+        try:
             return Graph(n, edges)
+        except DisconnectedGraphError:
+            pass
     raise GenerationError(
         f"no connected sample of G({n}, {p_num}/{p_den}) "
         f"in {RANDOM_CONNECTED_MAX_TRIES} tries"
     )
 
 
+class Family(NamedTuple):
+    """One row of the family table."""
+
+    token: str  # short name in expressions and canonical text
+    arity: int  # integer parameters; a probability num/den counts as two
+    seeded: bool
+    make: Callable[..., Graph]  # params (and a seeded rng) -> graph
+    order: Callable[..., int]  # params -> vertex count, without building
+
+
+FAMILIES = {
+    "path": Family("path", 1, False, path, lambda n: n),
+    "cycle": Family("cycle", 1, False, cycle, lambda n: n),
+    "complete": Family("complete", 1, False, complete, lambda n: n),
+    "complete_bipartite": Family(
+        "bipartite", 2, False, complete_bipartite, lambda m, n: m + n
+    ),
+    "book": Family("book", 1, False, book, lambda q: q + 2),
+    # a negative shift would raise ValueError; the build rejects d < 1
+    "hypercube": Family("hypercube", 1, False, hypercube, lambda d: 1 << max(d, 0)),
+    "random_tree": Family("randtree", 1, True, random_tree, lambda n: n),
+    "random_connected": Family(
+        "randconn", 3, True, random_connected, lambda n, num, den: n
+    ),
+}
+
+# every accepted spelling of a kind: its full name and its short token
+KIND_OF_TOKEN = {
+    name: kind for kind, family in FAMILIES.items() for name in (kind, family.token)
+}
+
+
+def _family(spec: FamilySpec) -> Family:
+    """The table row of ``spec``, once its parameter count and seed fit it."""
+    family = FAMILIES.get(spec.kind)
+    if family is None:
+        raise GenerationError(f"unknown family kind {spec.kind!r}")
+    if len(spec.params) != family.arity:
+        raise GenerationError(
+            f"{spec.kind} expects {family.arity} integer parameter(s), got {spec.params}"
+        )
+    if family.seeded and spec.seed is None:
+        raise GenerationError(f"{spec.kind} requires a seed")
+    return family
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Build the canonical graph described by ``spec``."""
-    kind = spec.kind
-    if kind == "path":
-        return path(*_need(spec, 1))
-    if kind == "cycle":
-        return cycle(*_need(spec, 1))
-    if kind == "complete":
-        return complete(*_need(spec, 1))
-    if kind == "complete_bipartite":
-        return complete_bipartite(*_need(spec, 2))
-    if kind == "book":
-        return book(*_need(spec, 1))
-    if kind == "hypercube":
-        return hypercube(*_need(spec, 1))
-    if kind == "random_tree":
-        (n,) = _need(spec, 1)
-        return random_tree(n, _rng(spec))
-    if kind == "random_connected":
-        n, p_num, p_den = _need(spec, 3)
-        return random_connected(n, p_num, p_den, _rng(spec))
-    raise GenerationError(f"unknown family kind {kind!r}")
+    family = _family(spec)
+    if family.seeded:
+        return family.make(*spec.params, random.Random(spec.seed))
+    return family.make(*spec.params)
 
 
 def family_order(spec: FamilySpec) -> int:
     """Vertex count of the generated graph, without generating it."""
-    kind = spec.kind
-    if kind in ("path", "cycle", "complete", "random_tree", "random_connected"):
-        return spec.params[0]
-    if kind == "complete_bipartite":
-        return spec.params[0] + spec.params[1]
-    if kind == "book":
-        return spec.params[0] + 2
-    if kind == "hypercube":
-        return 1 << spec.params[0]
-    raise GenerationError(f"unknown family kind {kind!r}")
+    return _family(spec).order(*spec.params)

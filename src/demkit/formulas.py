@@ -6,6 +6,12 @@ that produced it), matched structurally on the built factor graphs, so e.g. a
 triangle is handled consistently whether it was spelled ``cycle:3`` or
 ``complete:3``. Instances larger than the solver cap are reported as skipped,
 never silently passed.
+
+Every exact result the harness needs (instance and factor values, the
+enumerations and the sharpness products) comes from one memo, ``_exact``,
+keyed by the built graph, the cap and whether all minimum sets are listed.
+An instance met under several spellings, or in several suites, is therefore
+solved once per process.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .cover import vertex_cover_number
 from .errors import CapExceededError
 from .exprs import FamilySpec, GraphExpr, ProductSpec, build, canonical, order_of, parse_expr
 from .graph import Graph
-from .monitoring import DEFAULT_ENUMERATION_CAP, DEFAULT_MAX_N, dem_number
+from .monitoring import DEFAULT_MAX_N, DemResult, dem_number
 
 SUITES = ("formulas", "bounds", "sharpness", "all")
 
@@ -98,8 +104,12 @@ def _built(expr: GraphExpr) -> Graph:
 
 
 @lru_cache(maxsize=None)
+def _exact(g: Graph, max_n: int, enumerate_all: bool = False) -> DemResult:
+    return dem_number(g, enumerate_all, max_n=max_n)
+
+
 def _dem_of(expr: GraphExpr, max_n: int) -> int:
-    return dem_number(_built(expr), max_n=max_n).value
+    return _exact(_built(expr), max_n).value
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +288,7 @@ def verify_instance(
                 f"order {order} exceeds cap {max_n}",
             )
         predicted = predicted_dem(expr, max_n=max_n, mode=mode)
-        computed = dem_number(build(expr), max_n=max_n).value
+        computed = _dem_of(expr, max_n)
     except CapExceededError as exc:
         return VerificationRecord(name, None, None, "skipped", "", str(exc))
     ok = predicted.contains(computed)
@@ -292,8 +302,8 @@ def verify_instance(
 # -- sharpness of the product bounds -----------------------------------------
 
 
-def _unique_minimum(g: Graph, max_n: int, cap: int) -> tuple[int, bool]:
-    result = dem_number(g, enumerate_all=True, max_n=max_n, enumeration_cap=cap)
+def _unique_minimum(g: Graph, max_n: int) -> tuple[int, bool]:
+    result = _exact(g, max_n, True)
     return result.value, len(result.all_minimum_sets) == 1
 
 
@@ -302,7 +312,6 @@ def check_upper_equality_condition(
     h: Graph,
     *,
     max_n: int = DEFAULT_MAX_N,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     name_g: str = "G",
     name_h: str = "H",
 ) -> VerificationRecord:
@@ -313,10 +322,9 @@ def check_upper_equality_condition(
     rule = "upper sharpness: equality iff some factor has a unique minimum set"
     name = f"sharp-upper({name_g}|{name_h})"
     try:
-        d1, unique_g = _unique_minimum(g, max_n, enumeration_cap)
-        d2, unique_h = _unique_minimum(h, max_n, enumeration_cap)
-        product, _ = products.cartesian(g, h)
-        dp = dem_number(product, max_n=max_n).value
+        d1, unique_g = _unique_minimum(g, max_n)
+        d2, unique_h = _unique_minimum(h, max_n)
+        dp = _exact(products.cartesian(g, h)[0], max_n).value
     except CapExceededError as exc:
         return VerificationRecord(name, None, None, "skipped", rule, str(exc))
     bound = g.n * d2 + h.n * d1 - d1 * d2
@@ -370,7 +378,6 @@ def check_lower_equality_condition(
     h: Graph,
     *,
     max_n: int = DEFAULT_MAX_N,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     name_g: str = "G",
     name_h: str = "H",
 ) -> VerificationRecord:
@@ -386,10 +393,9 @@ def check_lower_equality_condition(
     rule = "lower sharpness: equality iff covering and disjointness conditions"
     name = f"sharp-lower({name_g}|{name_h})"
     try:
-        rg = dem_number(g, enumerate_all=True, max_n=max_n, enumeration_cap=enumeration_cap)
-        rh = dem_number(h, enumerate_all=True, max_n=max_n, enumeration_cap=enumeration_cap)
-        product, _ = products.cartesian(g, h)
-        dp = dem_number(product, max_n=max_n).value
+        rg = _exact(g, max_n, True)
+        rh = _exact(h, max_n, True)
+        dp = _exact(products.cartesian(g, h)[0], max_n).value
     except CapExceededError as exc:
         return VerificationRecord(name, None, None, "skipped", rule, str(exc))
     hypotheses = g.n <= h.n and rg.value >= rh.value
@@ -517,7 +523,6 @@ def run_suite(
     *,
     max_n: int = DEFAULT_MAX_N,
     seed: int = 0,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[VerificationRecord]:
     """Run one of the verification suites; records come back sorted by
     instance description, independent of execution order."""
@@ -534,15 +539,12 @@ def run_suite(
             records.setdefault(rec.instance, rec)
     if suite in ("sharpness", "all"):
         for kind, a, b in sharpness_pairs():
-            g, h = build(parse_expr(a)), build(parse_expr(b))
+            g, h = _built(parse_expr(a)), _built(parse_expr(b))
             check = (
                 check_upper_equality_condition
                 if kind == "upper"
                 else check_lower_equality_condition
             )
-            rec = check(
-                g, h, max_n=max_n, enumeration_cap=enumeration_cap,
-                name_g=a, name_h=b,
-            )
+            rec = check(g, h, max_n=max_n, name_g=a, name_h=b)
             records.setdefault(rec.instance, rec)
     return sorted(records.values(), key=lambda r: r.instance)

@@ -72,14 +72,24 @@ def _coverage(cols: Sequence[int]) -> dict[int, int]:
 
 def greedy_hitting(cols: Sequence[int]) -> list[int]:
     """Repeatedly take the vertex hitting the most remaining columns
-    (ties: lowest id). Always returns a valid hitting set."""
-    remaining = list(cols)
+    (ties: lowest id); valid, not necessarily minimum.
+
+    Each vertex gets one mask over the column positions it hits, so scoring
+    a vertex is one popcount of that mask against the uncovered positions.
+    Raises ``ValueError`` on an empty column, which no vertex hits.
+    """
+    if 0 in cols:
+        raise ValueError("unhittable empty column")
+    hits: dict[int, int] = {}  # only the vertices some column contains
+    for i, c in enumerate(cols):
+        for v in bits(c):
+            hits[v] = hits.get(v, 0) | 1 << i
+    uncovered = (1 << len(cols)) - 1
     chosen: list[int] = []
-    while remaining:
-        count = _coverage(remaining)
-        v = max(count, key=lambda x: (count[x], -x))
+    while uncovered:
+        v = max(hits, key=lambda x: ((hits[x] & uncovered).bit_count(), -x))
         chosen.append(v)
-        remaining = [c for c in remaining if not (c >> v) & 1]
+        uncovered &= ~hits[v]
     return sorted(chosen)
 
 

@@ -144,20 +144,12 @@ def is_dem_set(
 def greedy_dem(
     g: Graph, matrix: MonitorMatrix | None = None
 ) -> tuple[int, ...]:
-    """Greedy monitoring set: repeatedly take the vertex monitoring the most
-    uncovered edges (ties: lowest id). Valid, not necessarily minimum."""
+    """Greedy monitoring set: ``hitting.greedy_hitting`` over the monitor
+    columns, i.e. repeatedly the vertex monitoring the most uncovered edges
+    (ties: lowest id). Valid, not necessarily minimum."""
     if matrix is None:
         matrix = monitor_matrix(g, max_n=g.n)
-    uncovered = (1 << g.m) - 1
-    chosen: list[int] = []
-    while uncovered:
-        best = max(
-            range(g.n),
-            key=lambda v: ((matrix.rows[v] & uncovered).bit_count(), -v),
-        )
-        chosen.append(best)
-        uncovered &= ~matrix.rows[best]
-    return tuple(sorted(chosen))
+    return tuple(hitting.greedy_hitting(matrix.cols))
 
 
 @dataclass(frozen=True)

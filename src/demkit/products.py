@@ -69,9 +69,7 @@ class ProductVertexMap:
 
     def g_vertices(self) -> tuple[int, ...]:
         """Left-factor vertices (for cluster: the roots, identified with G)."""
-        if self.operation == "cluster":
-            return tuple(range(self.g_order))
-        if self.operation in ("join", "corona"):
+        if self.operation in ("join", "corona", "cluster"):
             return tuple(range(self.g_order))
         raise GraphError(f"g_vertices() not defined for {self.operation}")
 
@@ -118,13 +116,11 @@ def cluster(g: Graph, h: Graph, root: int = 0) -> tuple[Graph, ProductVertexMap]
     others = [j for j in range(n) if j != root]
     edges = list(g.edges)
     origins: list[Origin] = [("H", i, root) for i in range(m)]
-    copy_ids: list[dict[int, int]] = []
     for i in range(m):
         base = m + i * (n - 1)
         ids = {root: i}
         for k, j in enumerate(others):
             ids[j] = base + k
-        copy_ids.append(ids)
         edges += [(ids[u], ids[v]) for u, v in h.edges]
     for i in range(m):
         origins += [("H", i, j) for j in others]

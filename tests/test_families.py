@@ -1,6 +1,7 @@
 import pytest
 
 from demkit import FamilySpec, GenerationError, generate
+from demkit.exprs import order_of
 from demkit.families import family_order
 
 from conftest import book, bipartite, path, random_connected, random_tree
@@ -71,8 +72,17 @@ class TestRandomKinds:
         assert g.m == 10
 
     def test_seed_required(self):
-        with pytest.raises(GenerationError):
-            generate(FamilySpec("random_tree", (5,)))
+        for use in (generate, family_order):
+            with pytest.raises(GenerationError):
+                use(FamilySpec("random_tree", (5,)))
+
+
+# specs whose shape (kind, parameter count) is wrong, so they have no order
+MALFORMED = (
+    FamilySpec("path", (3, 4)),
+    FamilySpec("nonsense", (3,)),
+    FamilySpec("path", ()),
+)
 
 
 class TestValidation:
@@ -87,11 +97,19 @@ class TestValidation:
             FamilySpec("random_connected", (5, 3, 2), seed=1),
             FamilySpec("path", (3, 4)),
             FamilySpec("nonsense", (3,)),
+            FamilySpec("path", ()),
+            FamilySpec("hypercube", (-1,)),
         ],
     )
     def test_bad_parameters(self, spec):
         with pytest.raises(GenerationError):
             generate(spec)
+        if spec in MALFORMED:
+            for order in (family_order, order_of):
+                with pytest.raises(GenerationError):
+                    order(spec)
+        else:
+            family_order(spec)  # a bad value is rejected by the build alone
 
 
 def test_family_order_matches_generation():

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -9,6 +10,7 @@ from demkit import (
     check_upper_equality_condition,
     cluster,
     dem_number,
+    formulas,
     join,
     monitor_matrix,
     monitored_pairs,
@@ -175,6 +177,20 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("everything")
+
+    def test_all_suites_solve_each_graph_once(self, monkeypatch):
+        solved = Counter()
+        solve = formulas.dem_number
+
+        def counting(g, enumerate_all=False, **kwargs):
+            solved[(g, enumerate_all)] += 1
+            return solve(g, enumerate_all, **kwargs)
+
+        monkeypatch.setattr(formulas, "dem_number", counting)
+        formulas._exact.cache_clear()
+        run_suite("all")
+        repeated = {(g.n, g.edges, e): c for (g, e), c in solved.items() if c > 1}
+        assert solved and not repeated
 
 
 class TestApexBound:

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -102,3 +103,43 @@ def test_feasibility_and_witness_match_subset_search(case):
     if first is not None:
         assert minimum_hitting_set(cols)[0] == len(first)
         assert lexicographically_smallest(cols, n, len(first)) == first
+
+
+def _greedy_by_rows(cols, n):
+    """The former loop of ``greedy_dem``: one mask per vertex over the column
+    positions, taking the largest popcount against the uncovered ones."""
+    rows = [
+        sum(1 << i for i, c in enumerate(cols) if (c >> v) & 1) for v in range(n)
+    ]
+    uncovered = (1 << len(cols)) - 1
+    chosen = []
+    while uncovered:
+        best = max(range(n), key=lambda v: ((rows[v] & uncovered).bit_count(), -v))
+        chosen.append(best)
+        uncovered &= ~rows[best]
+    return sorted(chosen)
+
+
+def _greedy_by_counts(cols):
+    """The former loop of ``greedy_hitting``: recount the remaining columns
+    per vertex and drop the columns the pick hits."""
+    remaining = list(cols)
+    chosen = []
+    while remaining:
+        count = Counter(
+            v for c in remaining for v in range(c.bit_length()) if (c >> v) & 1
+        )
+        v = max(count, key=lambda x: (count[x], -x))
+        chosen.append(v)
+        remaining = [c for c in remaining if not (c >> v) & 1]
+    return sorted(chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_sets())
+def test_greedy_matches_both_former_loops(case):
+    n, cols = case
+    cols = [c for c in cols if c]
+    assert greedy_hitting(cols) == _greedy_by_rows(cols, n) == _greedy_by_counts(cols)
+    with pytest.raises(ValueError):
+        greedy_hitting(cols + [0])
