@@ -6,7 +6,9 @@ suites), ``compare`` (monitoring number against the metric, edge metric and
 strong metric dimensions). Graphs are given either as an edge-list file path
 or inline as ``gen=<expression>``. Every exact solver, the comparison
 dimensions included, refuses graphs above one vertex cap: ``--max-n``,
-defaulting to ``DEMKIT_MAX_N`` or else 24.
+defaulting to ``DEMKIT_MAX_N`` or else 24. ``dem``, ``cover`` and ``compare``
+check an input's vertex count against the cap before building it; ``gen`` is
+not capped.
 
 Exit status: 0 on success, 1 when a verification suite reports a failure,
 2 on usage or input errors. Identical arguments (and seed) produce
@@ -31,7 +33,7 @@ from .errors import (
     GenerationError,
     GraphError,
 )
-from .exprs import build, canonical, parse_expr
+from .exprs import build, canonical, order_of, parse_expr
 from .formulas import SUITES, run_suite
 from .graph import Graph, format_edge_list, parse_edge_list
 from .monitoring import (
@@ -66,13 +68,19 @@ def _default_max_n() -> int:
     return DEFAULT_MAX_N
 
 
-def _load_graph(token: str) -> tuple[Graph, str]:
-    """Resolve a graph argument: inline ``gen=<expr>`` or an edge-list file."""
+def _load_graph(token: str, max_n: int) -> tuple[Graph, str]:
+    """Resolve a graph argument: inline ``gen=<expr>`` or an edge-list file.
+
+    The vertex count is checked against ``max_n`` before the graph is built.
+    """
     if token.startswith("gen="):
         expr = parse_expr(token[4:])
+        n = order_of(expr)
+        if n > max_n:
+            raise CapExceededError(token, n, max_n)
         return build(expr), canonical(expr)
     text = Path(token).read_text()
-    return parse_edge_list(text), token
+    return parse_edge_list(text, max_n=max_n), token
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -91,7 +99,7 @@ def _ids(ids) -> str:
 
 
 def _run_dem(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _ = _load_graph(args.graph, args.max_n)
     result = dem_number(
         g,
         enumerate_all=args.all_min_sets,
@@ -142,7 +150,7 @@ def _run_gen(args: argparse.Namespace) -> int:
 
 
 def _run_cover(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _ = _load_graph(args.graph, args.max_n)
     result = vertex_cover_number(g, max_n=args.max_n)
     if args.format == "json":
         doc = {
@@ -224,7 +232,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_compare(args: argparse.Namespace) -> int:
     reports = []
     for token in args.graphs:
-        g, name = _load_graph(token)
+        g, name = _load_graph(token, args.max_n)
         reports.append(compare_graph(g, name, max_n=args.max_n))
     if args.format == "json":
         docs = [

@@ -29,7 +29,12 @@ class CapExceededError(RuntimeError):
     """The instance is larger than the configured exact-solver cap."""
 
     def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"{what}: instance size {size} exceeds cap {cap}")
+        # a size computed from an expression such as hypercube:5000 has more
+        # digits than a message should hold (or than str() converts)
+        shown = size
+        if size.bit_length() > 64:
+            shown = f"2^{size.bit_length() - 1} or more"
+        super().__init__(f"{what}: instance size {shown} exceeds cap {cap}")
         self.size = size
         self.cap = cap
 

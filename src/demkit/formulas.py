@@ -10,8 +10,9 @@ never silently passed.
 Every exact result the harness needs (instance and factor values, the
 enumerations and the sharpness products) comes from one memo, ``_exact``,
 keyed by the built graph, the cap and whether all minimum sets are listed.
-An instance met under several spellings, or in several suites, is therefore
-solved once per process.
+The vertex covers the rules use come from a second memo, ``_cover_of``,
+keyed the same way by the built graph. An instance met under several
+spellings, or in several suites, is therefore solved once per process.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def _dem_of(expr: GraphExpr, max_n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cover_of(expr: GraphExpr, max_n: int) -> int:
-    return vertex_cover_number(_built(expr), max_n=max_n).value
+def _cover_of(g: Graph, max_n: int) -> int:
+    return vertex_cover_number(g, max_n=max_n).value
 
 
 # -- the registry ------------------------------------------------------------
@@ -152,7 +153,7 @@ def _fallback_prediction(expr: GraphExpr, max_n: int) -> PredictedValue:
     if g.is_tree():
         return PredictedValue.exact(1, "tree: dem = 1")
     return PredictedValue.interval(
-        2, max(2, _cover_of(expr, max_n)), "cover bound: 2 <= dem <= c(G)"
+        2, max(2, _cover_of(g, max_n)), "cover bound: 2 <= dem <= c(G)"
     )
 
 
@@ -160,7 +161,7 @@ def _apex_prediction(base: GraphExpr, max_n: int) -> PredictedValue:
     g = _built(base)
     if g.n > max_n:
         raise CapExceededError("apex prediction", g.n, max_n)
-    c = _cover_of(base, max_n)
+    c = _cover_of(g, max_n)
     if g.radius() >= 4:
         return PredictedValue.exact(c, "apex join: dem = c(G) when radius >= 4")
     return PredictedValue.interval(c, c + 1, "apex join: c(G) <= dem <= c(G)+1")
@@ -240,7 +241,10 @@ def predicted_dem(
         if mode != "best":
             return _fallback_prediction(expr, max_n)
         return PredictedValue.exact(
-            min(_cover_of(expr.left, max_n) + n, _cover_of(expr.right, max_n) + m),
+            min(
+                _cover_of(_built(expr.left), max_n) + n,
+                _cover_of(_built(expr.right), max_n) + m,
+            ),
             "join: dem = min(c(G)+|H|; c(H)+|G|)",
         )
     if expr.op == "corona":
@@ -250,7 +254,7 @@ def predicted_dem(
         if n == 1 or mode != "best":
             return _fallback_prediction(expr, max_n)
         return PredictedValue.exact(
-            m * _cover_of(expr.right, max_n), "corona: dem = |G| * c(H)"
+            m * _cover_of(_built(expr.right), max_n), "corona: dem = |G| * c(H)"
         )
     if expr.op == "cluster":
         h = _built(expr.right)

@@ -14,7 +14,7 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DisconnectedGraphError, GraphError
+from .errors import CapExceededError, DisconnectedGraphError, GraphError
 
 INFINITE = math.inf
 
@@ -171,13 +171,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, *, max_n: int | None = None) -> Graph:
     """Parse ``"u v"`` lines into a Graph on vertices ``0..max_id``.
 
     ``#`` starts a comment; duplicate edges are merged. Raises
-    :class:`GraphError` on loops, non-integer tokens, or an empty graph and
-    :class:`DisconnectedGraphError` (with witness vertices) when the listed
-    edges do not connect all vertices.
+    :class:`GraphError` on loops, non-integer tokens, or an empty graph,
+    :class:`CapExceededError` when ``max_id + 1`` exceeds ``max_n`` (checked
+    before the graph is built) and :class:`DisconnectedGraphError` (with
+    witness vertices) when the listed edges do not connect all vertices.
     """
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -201,6 +202,8 @@ def parse_edge_list(text: str) -> Graph:
     if not edges:
         raise GraphError("empty graph: no edges given")
     n = max(max(u, v) for u, v in edges) + 1
+    if max_n is not None and n > max_n:
+        raise CapExceededError("edge list", n, max_n)
     return Graph(n, edges)
 
 

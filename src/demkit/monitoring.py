@@ -6,12 +6,21 @@ graph is the smallest probe set under which every edge is monitored; it is
 exactly the minimum hitting set of the per-edge monitor lists collected in
 the monitor matrix.
 
-Two routes compute what a probe monitors: the default restricts candidates to
-edges on some shortest path from the probe (an edge whose endpoint distances
-from x do not differ by one lies on no shortest x-path, so its removal cannot
-change any distance from x), while the ``*_naive`` twins re-run the
-single-source distances for every (probe, edge) pair and exist as the
-independent oracle for that pruning.
+What a probe monitors follows from one BFS. Call u a parent of v when u is a
+neighbour of v with d(x,u) = d(x,v) - 1. Then x monitors edge uv, with
+d(x,v) = d(x,u) + 1, iff u is the only parent of v. Proof: removing an edge
+never shortens a distance, and the distances along a shortest path from x
+rise by one per step. So an edge whose endpoints are equally far from x lies
+on no shortest x-path, and its removal changes nothing. If v has a second
+parent w, a shortest x-w path reaches no vertex farther than d(x,u), so it
+avoids uv; followed by wv it replaces the prefix x..u,v of any shortest path
+through uv at equal length, and no distance changes. If u is the only parent,
+every shortest x-v path ends with uv, so d(x,v) grows when uv is removed.
+So x monitors exactly one edge per vertex with a single parent.
+
+The ``*_naive`` twins follow the definition instead: they re-run the
+single-source distances with each edge removed in turn, and exist as the
+independent oracle for the parent-count rule.
 """
 
 from __future__ import annotations
@@ -86,18 +95,25 @@ def _row(g: Graph, x: int, candidates: Iterable[int]) -> int:
     return row
 
 
-def _shortest_path_candidates(g: Graph, x: int) -> list[int]:
-    base = g.distances_from(x)
-    return [
-        eid for eid, (u, v) in enumerate(g.edges) if abs(base[u] - base[v]) == 1
-    ]
+def _parent_row(g: Graph, x: int) -> int:
+    """Row of probe x by the parent-count rule: one BFS and two edge passes."""
+    dist = g.distances_from(x)
+    parents = [0] * g.n
+    for u, v in g.edges:
+        if dist[u] != dist[v]:
+            parents[u if dist[u] > dist[v] else v] += 1
+    row = 0
+    for eid, (u, v) in enumerate(g.edges):
+        if dist[u] != dist[v] and parents[u if dist[u] > dist[v] else v] == 1:
+            row |= 1 << eid
+    return row
 
 
 def monitored_edges(g: Graph, x: int) -> set[int]:
-    """Edge ids monitored by vertex x (shortest-path-pruned computation)."""
+    """Edge ids monitored by vertex x (parent-count rule, one BFS)."""
     if not 0 <= x < g.n:
         raise GraphError(f"vertex {x} out of range")
-    return set(hitting.bits(_row(g, x, _shortest_path_candidates(g, x))))
+    return set(hitting.bits(_parent_row(g, x)))
 
 
 def monitored_edges_naive(g: Graph, x: int) -> set[int]:
@@ -116,12 +132,10 @@ def _matrix(g: Graph, rows: list[int]) -> MonitorMatrix:
 
 
 def monitor_matrix(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> MonitorMatrix:
-    """Complete V x E monitoring incidence."""
+    """Complete V x E monitoring incidence, one BFS per probe."""
     if g.n > max_n:
         raise CapExceededError("monitor matrix", g.n, max_n)
-    return _matrix(
-        g, [_row(g, x, _shortest_path_candidates(g, x)) for x in range(g.n)]
-    )
+    return _matrix(g, [_parent_row(g, x) for x in range(g.n)])
 
 
 def monitor_matrix_naive(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> MonitorMatrix:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import demkit.cli
+import demkit.graph
 from demkit import parse_edge_list
 from demkit.cli import main
 from demkit.exprs import MAX_NESTING
@@ -167,6 +169,52 @@ class TestCompare:
     def test_default_cap_covers_the_dimensions(self, capsys):
         code, out, _ = run(capsys, "compare", "gen=cartesian(path:4|path:4)")
         assert code == 0 and out.splitlines()[1].split(",")[3] == "4"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built a graph past the cap")
+
+
+class TestCapBeforeBuild:
+    """Oversized inputs are refused from their vertex count, before a graph
+    is built: exit status 2 and one line naming the cap."""
+
+    @pytest.mark.parametrize("command", ["dem", "cover", "compare"])
+    def test_family_expression(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(demkit.cli, "build", _refuse)
+        code, out, err = run(capsys, command, "gen=path:300000")
+        assert code == 2 and out == ""
+        assert "cap" in err and err.count("\n") == 1
+
+    def test_astronomical_order(self, capsys, monkeypatch):
+        # 2^5000 has too many digits to print, and str() refuses it
+        monkeypatch.setattr(demkit.cli, "build", _refuse)
+        code, out, err = run(capsys, "dem", "gen=cartesian(hypercube:5000|path:2)")
+        assert code == 2 and out == ""
+        assert err == (
+            "demkit: gen=cartesian(hypercube:5000|path:2): "
+            "instance size 2^5001 or more exceeds cap 24\n"
+        )
+
+    @pytest.mark.parametrize("command", ["dem", "cover", "compare"])
+    def test_edge_list(self, capsys, monkeypatch, tmp_path, command):
+        target = tmp_path / "far.txt"
+        target.write_text("0 1\n1 300000\n")
+        monkeypatch.setattr(demkit.graph, "Graph", _refuse)
+        code, out, err = run(capsys, command, str(target))
+        assert code == 2 and out == ""
+        assert "cap" in err and "300001" in err and err.count("\n") == 1
+
+    def test_edge_list_at_the_cap(self, capsys, tmp_path):
+        target = tmp_path / "triangle.txt"
+        target.write_text("0 1\n1 2\n2 0\n")
+        assert run(capsys, "dem", str(target), "--max-n", "3")[0] == 0
+        code, _, err = run(capsys, "dem", str(target), "--max-n", "2")
+        assert code == 2 and "cap" in err
+
+    def test_gen_is_not_capped(self, capsys):
+        code, out, _ = run(capsys, "gen", "path:30")
+        assert code == 0 and len(out.splitlines()) == 29
 
 
 class TestUsageErrors:

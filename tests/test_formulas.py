@@ -180,17 +180,27 @@ class TestSuites:
 
     def test_all_suites_solve_each_graph_once(self, monkeypatch):
         solved = Counter()
+        covered = Counter()
         solve = formulas.dem_number
+        cover = formulas.vertex_cover_number
 
         def counting(g, enumerate_all=False, **kwargs):
             solved[(g, enumerate_all)] += 1
             return solve(g, enumerate_all, **kwargs)
 
+        def counting_cover(g, **kwargs):
+            covered[g] += 1
+            return cover(g, **kwargs)
+
         monkeypatch.setattr(formulas, "dem_number", counting)
+        monkeypatch.setattr(formulas, "vertex_cover_number", counting_cover)
         formulas._exact.cache_clear()
+        formulas._cover_of.cache_clear()
         run_suite("all")
         repeated = {(g.n, g.edges, e): c for (g, e), c in solved.items() if c > 1}
         assert solved and not repeated
+        repeated = {(g.n, g.edges): c for g, c in covered.items() if c > 1}
+        assert covered and not repeated
 
 
 class TestApexBound:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from demkit import (
     CapExceededError,
     EnumerationCapExceededError,
+    Graph,
     dem_number,
     greedy_dem,
     is_dem_set,
@@ -93,7 +94,7 @@ class TestMonitorMatrix:
 
 
 class TestOracleEquivalence:
-    """The shortest-path-pruned route must agree with the recompute-everything
+    """The parent-count route must agree with the recompute-everything
     oracle, and the exact solver with the exhaustive-subset oracle."""
 
     def test_rows_match_naive_on_families(self):
@@ -111,6 +112,20 @@ class TestOracleEquivalence:
             mm = monitor_matrix(g)
             cols = oracles.monitor_columns(g.n, list(g.edges))
             assert [set(mm.monitors(e)) for e in range(g.m)] == cols
+
+    def test_one_bfs_per_probe(self, monkeypatch):
+        calls = []
+        bfs = Graph.distances_from
+
+        def counting(self, source, removed=None):
+            calls.append(source)
+            return bfs(self, source, removed)
+
+        monkeypatch.setattr(Graph, "distances_from", counting)
+        for g in (path(6), cycle(7), book(3), random_connected(12, 1, 2, 8)):
+            calls.clear()
+            monitor_matrix(g)
+            assert sorted(calls) == list(range(g.n))
 
     def test_solver_matches_exhaustive_search(self):
         for seed in range(12):
@@ -269,3 +284,37 @@ def test_endpoint_detection_property(seed):
     for eid, (u, v) in enumerate(g.edges):
         col = mm.cols[eid]
         assert (col >> u) & 1 and (col >> v) & 1
+
+
+@st.composite
+def connected_graphs(draw, max_n=10):
+    """A connected graph on at most ``max_n`` vertices: a random spanning
+    tree, relabeled, plus no, a few, or about half of the other pairs."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    tree = {
+        tuple(sorted((label[draw(st.integers(0, v - 1))], label[v])))
+        for v in range(1, n)
+    }
+    others = [p for p in combinations(range(n), 2) if p not in tree]
+    kind = draw(st.sampled_from(["tree", "sparse", "dense"]))
+    if kind == "tree" or not others:
+        extra = []
+    elif kind == "sparse":
+        extra = draw(st.lists(st.sampled_from(others), max_size=n, unique=True))
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+        extra = [p for p, k in zip(others, keep) if k]
+    return Graph(n, sorted(tree) + extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_parent_count_rows_match_the_oracles(g):
+    mm = monitor_matrix(g)
+    assert mm == monitor_matrix_naive(g)
+    assert [set(mm.monitors(e)) for e in range(g.m)] == oracles.monitor_columns(
+        g.n, list(g.edges)
+    )
+    for x in range(g.n):
+        assert monitored_edges(g, x) == monitored_edges_naive(g, x)
