@@ -36,12 +36,7 @@ from .errors import (
 from .exprs import build, canonical, order_of, parse_expr
 from .formulas import SUITES, run_suite
 from .graph import Graph, format_edge_list, parse_edge_list
-from .monitoring import (
-    DEFAULT_ENUMERATION_CAP,
-    DEFAULT_MAX_N,
-    dem_number,
-    greedy_dem,
-)
+from .monitoring import DEFAULT_ENUMERATION_CAP, DEFAULT_MAX_N, dem_number
 
 FORMATS = ("json", "csv", "plain")
 
@@ -108,9 +103,8 @@ def _run_dem(args: argparse.Namespace) -> int:
     )
     doc = result.to_json_dict()
     if args.greedy:
-        greedy = list(greedy_dem(g))
-        doc["greedy"] = greedy
-        doc["greedy_size"] = len(greedy)
+        doc["greedy"] = list(result.greedy)
+        doc["greedy_size"] = len(result.greedy)
     if args.format == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     elif args.format == "csv":

@@ -156,8 +156,11 @@ FAMILIES = {
         "bipartite", 2, False, complete_bipartite, lambda m, n: m + n
     ),
     "book": Family("book", 1, False, book, lambda q: q + 2),
-    # a negative shift would raise ValueError; the build rejects d < 1
-    "hypercube": Family("hypercube", 1, False, hypercube, lambda d: 1 << max(d, 0)),
+    # the order saturates at 2^16384, above any cap parsed from text (at most
+    # 4,300 digits), so sizing costs the same for every d; the build rejects d < 1
+    "hypercube": Family(
+        "hypercube", 1, False, hypercube, lambda d: 1 << min(max(d, 0), 16_384)
+    ),
     "random_tree": Family("randtree", 1, True, random_tree, lambda n: n),
     "random_connected": Family(
         "randconn", 3, True, random_connected, lambda n, num, den: n

@@ -11,15 +11,18 @@ fewest candidates (ties by candidate coverage, then mask value), prune with a
 greedy disjoint-column lower bound, and split into independent components
 whenever the uncovered columns fall apart. Sibling branches exclude already
 tried vertices, so no partial solution is explored twice. Given a target
-size, it stops at the first solution that small, which makes it the
-bounded-budget feasibility test behind lexicographically-smallest witness
-extraction. Capped enumeration of all minimum solutions keeps its own loop,
-since it must list every set rather than find one.
+size, it stops at the first solution that small: ``exists_hitting_set``.
+``_lexicographic_walk`` is the one loop that lists minimum sets in order,
+under the feasibility test each operation passes it. The witness passes the
+exact ``exists_hitting_set`` and takes the first set without backtracking;
+the enumeration passes the disjoint-column bound, cheaper when every set is
+listed anyway.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceededError
 
@@ -203,27 +206,46 @@ def exists_hitting_set(columns: Sequence[int], budget: int) -> bool:
     return _solve(cols, _Counter(), cap=budget + 1, target=budget) <= budget
 
 
+def _lexicographic_walk(
+    columns: Sequence[int], n: int, size: int, feasible: Callable[..., bool]
+) -> Iterator[tuple[int, ...]]:
+    """Hitting sets of ``size`` (the minimum) vertices, in lexicographic order.
+
+    Tries vertices in id order, skipping one that hits no unhit column, and
+    descends only where ``feasible(columns, budget)`` accepts the columns left
+    unhit, restricted to later vertices, within the rest of the budget.
+    """
+    chosen: list[int] = []
+
+    def walk(uncovered: list[int], start: int) -> Iterator[tuple[int, ...]]:
+        if not uncovered:
+            if len(chosen) < size:
+                raise ValueError("requested size exceeds the minimum hitting size")
+            yield tuple(chosen)
+            return
+        budget = size - len(chosen) - 1
+        for v in range(start, n):
+            rest = [c for c in uncovered if not (c >> v) & 1]
+            if len(rest) == len(uncovered):
+                continue
+            later = [c >> (v + 1) for c in rest]  # ids shift, order is kept
+            if 0 in later or not feasible(later, budget):
+                continue
+            chosen.append(v)
+            yield from walk(rest, v + 1)
+            chosen.pop()
+
+    return walk(reduce_columns(columns), 0)
+
+
 def lexicographically_smallest(
     columns: Sequence[int], n: int, size: int
 ) -> tuple[int, ...]:
     """The lexicographically smallest hitting set of exactly the given
     (minimum) size, as a sorted tuple of vertex ids."""
-    remaining = reduce_columns(columns)
-    chosen: list[int] = []
-    budget = size
-    for v in range(n):
-        if budget == 0:
-            break
-        unhit = [c for c in remaining if not (c >> v) & 1]
-        future = ~((1 << (v + 1)) - 1)
-        masked = [c & future for c in unhit]
-        if 0 not in masked and exists_hitting_set(masked, budget - 1):
-            chosen.append(v)
-            remaining = unhit
-            budget -= 1
-    if remaining or budget:
-        raise ValueError("no hitting set of the requested size exists")
-    return tuple(chosen)
+    for first in _lexicographic_walk(columns, n, size, exists_hitting_set):
+        return first
+    raise ValueError("no hitting set of the requested size exists")
 
 
 def lexicographic_minimum(
@@ -240,33 +262,10 @@ def enumerate_minimum_sets(
 ) -> tuple[tuple[int, ...], ...]:
     """All hitting sets of exactly the given (minimum) size, in lexicographic
     order. Raises :class:`EnumerationCapExceededError` past ``cap`` sets."""
-    base = reduce_columns(columns)
-    out: list[tuple[int, ...]] = []
-
-    def rec(uncovered: list[int], start: int, chosen: list[int]) -> None:
-        if not uncovered:
-            # a full cover below the minimum size would contradict minimality
-            assert len(chosen) == size
-            out.append(tuple(chosen))
-            if len(out) > cap:
-                raise EnumerationCapExceededError(cap)
-            return
-        room = size - len(chosen)
-        if room == 0:
-            return
-        future = ~((1 << start) - 1)
-        masked = [c & future for c in uncovered]
-        if 0 in masked:
-            return
-        if disjoint_lower_bound(masked) > room:
-            return
-        for v in range(start, n):
-            rest = [c for c in uncovered if not (c >> v) & 1]
-            if len(rest) == len(uncovered):
-                continue  # v contributes nothing; it cannot be in a minimum set
-            chosen.append(v)
-            rec(rest, v + 1, chosen)
-            chosen.pop()
-
-    rec(base, 0, [])
-    return tuple(out)
+    walk = _lexicographic_walk(
+        columns, n, size, lambda cols, budget: disjoint_lower_bound(cols) <= budget
+    )
+    sets = tuple(islice(walk, cap + 1))
+    if len(sets) > cap:
+        raise EnumerationCapExceededError(cap)
+    return sets

@@ -168,7 +168,7 @@ def greedy_dem(
 
 @dataclass(frozen=True)
 class DemResult:
-    """Exact monitoring number with one witness and solver statistics."""
+    """Exact monitoring number, one witness, the greedy seed and solver stats."""
 
     n: int
     m: int
@@ -176,6 +176,7 @@ class DemResult:
     witness: tuple[int, ...]
     all_minimum_sets: tuple[tuple[int, ...], ...] | None
     nodes_explored: int
+    greedy: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -207,11 +208,10 @@ def dem_number(
         raise CapExceededError("monitoring solver", g.n, max_n)
     if g.m == 0:
         sets = ((),) if enumerate_all else None
-        return DemResult(g.n, 0, 0, (), sets, 0)
+        return DemResult(g.n, 0, 0, (), sets, 0, ())
     matrix = monitor_matrix(g, max_n=max_n)
-    value, nodes = hitting.minimum_hitting_set(
-        matrix.cols, upper=len(greedy_dem(g, matrix))
-    )
+    greedy = greedy_dem(g, matrix)
+    value, nodes = hitting.minimum_hitting_set(matrix.cols, upper=len(greedy))
     if enumerate_all:
         sets = hitting.enumerate_minimum_sets(
             matrix.cols, g.n, value, enumeration_cap
@@ -220,4 +220,4 @@ def dem_number(
     else:
         sets = None
         witness = hitting.lexicographically_smallest(matrix.cols, g.n, value)
-    return DemResult(g.n, g.m, value, witness, sets, nodes)
+    return DemResult(g.n, g.m, value, witness, sets, nodes, greedy)

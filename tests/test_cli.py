@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 import demkit.cli
 import demkit.graph
-from demkit import parse_edge_list
+from demkit import Graph, parse_edge_list
 from demkit.cli import main
 from demkit.exprs import MAX_NESTING
 
@@ -39,6 +40,22 @@ class TestDem:
         code, out, _ = run(capsys, "dem", "gen=complete:4", "--greedy")
         doc = json.loads(out)
         assert doc["greedy"] == [0, 1, 2] and doc["greedy_size"] == 3
+
+    def test_greedy_reuses_the_matrix(self, capsys, monkeypatch):
+        # the greedy set is the seed dem_number already computed: one BFS
+        # per vertex, as without --greedy
+        calls = []
+        bfs = Graph.distances_from
+
+        def counting(self, source, removed=None):
+            calls.append(source)
+            return bfs(self, source, removed)
+
+        monkeypatch.setattr(Graph, "distances_from", counting)
+        for fmt in ("json", "csv", "plain"):
+            calls.clear()
+            code, _, _ = run(capsys, "dem", "gen=cycle:24", "--greedy", "--format", fmt)
+            assert code == 0 and sorted(calls) == list(range(24))
 
     def test_file_input(self, capsys, tmp_path):
         target = tmp_path / "triangle.txt"
@@ -195,6 +212,21 @@ class TestCapBeforeBuild:
             "demkit: gen=cartesian(hypercube:5000|path:2): "
             "instance size 2^5001 or more exceeds cap 24\n"
         )
+
+    def test_huge_hypercube_is_sized_in_little_memory(self, capsys, monkeypatch):
+        # the order of hypercube:d saturates instead of taking d bits
+        monkeypatch.setattr(demkit.cli, "build", _refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "dem", "gen=cartesian(hypercube:10000000|hypercube:10000000)"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "cap" in err and err.count("\n") == 1
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("command", ["dem", "cover", "compare"])
     def test_edge_list(self, capsys, monkeypatch, tmp_path, command):

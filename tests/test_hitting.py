@@ -58,6 +58,14 @@ def test_lexicographically_smallest():
     assert lexicographically_smallest(cols, 4, 2) == (0, 2)
 
 
+def test_size_above_the_minimum_is_refused():
+    cols = masks({0})
+    with pytest.raises(ValueError):
+        lexicographically_smallest(cols, 3, 2)
+    with pytest.raises(ValueError):
+        enumerate_minimum_sets(cols, 3, 2, 10)
+
+
 def test_enumeration_is_complete_and_ordered():
     cols = masks({0, 1}, {1, 2}, {2, 3})
     assert enumerate_minimum_sets(cols, 4, 2, 100) == ((0, 2), (1, 2), (1, 3))
@@ -93,16 +101,28 @@ def column_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(column_sets())
-def test_feasibility_and_witness_match_subset_search(case):
+@given(column_sets(), st.integers(-3, 3))
+def test_feasibility_and_witness_match_subset_search(case, slack):
     n, cols = case
     first = _first_hitting_set(cols, n)
     for budget in range(-1, n + 1):
         expected = first is not None and len(first) <= budget
         assert exists_hitting_set(cols, budget) == expected, budget
     if first is not None:
-        assert minimum_hitting_set(cols)[0] == len(first)
-        assert lexicographically_smallest(cols, n, len(first)) == first
+        size = len(first)
+        assert minimum_hitting_set(cols)[0] == size
+        assert lexicographically_smallest(cols, n, size) == first
+        minimum = tuple(
+            subset
+            for subset in combinations(range(n), size)
+            if all(c & sum(1 << v for v in subset) for c in cols)
+        )
+        cap = max(len(minimum) + slack, 0)  # straddle the number of sets
+        if len(minimum) > cap:
+            with pytest.raises(EnumerationCapExceededError):
+                enumerate_minimum_sets(cols, n, size, cap)
+        else:
+            assert enumerate_minimum_sets(cols, n, size, cap) == minimum
 
 
 def _greedy_by_rows(cols, n):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from demkit import (
     CapExceededError,
     EnumerationCapExceededError,
     Graph,
+    build,
     dem_number,
     greedy_dem,
     is_dem_set,
@@ -17,6 +19,7 @@ from demkit import (
     monitored_edges,
     monitored_edges_naive,
     monitored_pairs,
+    parse_expr,
     vertex_cover_number,
 )
 
@@ -210,6 +213,33 @@ class TestDemNumber:
         result = dem_number(Graph(1, []), enumerate_all=True)
         assert result.value == 0 and result.all_minimum_sets == ((),)
 
+    # (count, sha256 of repr(all_minimum_sets)): any change in the listed
+    # sets or in their order shows here, where no report prints them all
+    GOLDEN_ENUMERATIONS = {
+        "cartesian(path:4|cycle:5)": (
+            4320, "b10f4041699acd308ad5968914614ba0c6edd7008beed8cbfe9a14f2075e6c38"
+        ),
+        "cartesian(complete:4|complete:6)": (
+            360, "d90e5479cd22df985fcc18d6ee42db9af44b9d57f9aa115e2d3963deeae7a3c0"
+        ),
+        "corona(path:4|complete:4)": (
+            256, "170add3a56708fa51e26066dea5382dfbba4fb73956b2d2e32e392c3f0ca49eb"
+        ),
+        "cycle:24": (
+            252, "e66e27e382c9dcbf94cc329146d8c6f299aa544f68a92e41a64ddc4d99c2cadb"
+        ),
+        "cartesian(cycle:4|cycle:6)": (
+            38, "e329f65378bbd3f890a41c6c610a611b5909ac328db4ee220eabdb9b145cd380"
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", list(GOLDEN_ENUMERATIONS))
+    def test_enumeration_is_pinned(self, spec):
+        sets = dem_number(build(parse_expr(spec)), enumerate_all=True).all_minimum_sets
+        count, digest = self.GOLDEN_ENUMERATIONS[spec]
+        assert len(sets) == count
+        assert hashlib.sha256(repr(sets).encode()).hexdigest() == digest
+
     def test_json_document(self):
         doc = dem_number(book(2), enumerate_all=True).to_json_dict()
         assert list(doc) == ["n", "m", "dem", "witness", "all_minimum_sets", "nodes_explored"]
@@ -318,3 +348,20 @@ def test_parent_count_rows_match_the_oracles(g):
     )
     for x in range(g.n):
         assert monitored_edges(g, x) == monitored_edges_naive(g, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_value_and_witness_match_the_oracles(g):
+    """The exact value is brute_dem's, and the witness is the first minimum
+    subset in combinations order that hits every definitional column."""
+    result = dem_number(g)
+    edges = list(g.edges)
+    assert result.value == oracles.brute_dem(g.n, edges)
+    columns = oracles.monitor_columns(g.n, edges)
+    first = next(
+        subset
+        for subset in combinations(range(g.n), result.value)
+        if all(col & set(subset) for col in columns)
+    )
+    assert result.witness == first
