@@ -65,14 +65,6 @@ def _components(cols: Sequence[int]) -> list[list[int]]:
     return [members for _, members in comps]
 
 
-def _coverage(cols: Sequence[int]) -> dict[int, int]:
-    count: dict[int, int] = {}
-    for c in cols:
-        for v in bits(c):
-            count[v] = count.get(v, 0) + 1
-    return count
-
-
 def greedy_hitting(cols: Sequence[int]) -> list[int]:
     """Repeatedly take the vertex hitting the most remaining columns
     (ties: lowest id); valid, not necessarily minimum.
@@ -108,11 +100,23 @@ def disjoint_lower_bound(cols: Sequence[int]) -> int:
     return lb
 
 
-def _branch_column(cols: Sequence[int], count: dict[int, int]) -> int:
-    return min(
-        cols,
-        key=lambda c: (c.bit_count(), -sum(count[v] for v in bits(c)), c),
+def _branching(cols: Sequence[int]) -> list[int]:
+    """Vertices of the column to branch on, in the order they are tried.
+
+    The column has the fewest candidates (ties: the most candidate coverage,
+    then the smallest mask); its vertices go by coverage, then id. Each
+    column is decoded once.
+    """
+    decoded = [bits(c) for c in cols]
+    count: dict[int, int] = {}
+    for vs in decoded:
+        for v in vs:
+            count[v] = count.get(v, 0) + 1
+    _, column = min(
+        zip(cols, decoded),
+        key=lambda cv: (cv[0].bit_count(), -sum(count[v] for v in cv[1]), cv[0]),
     )
+    return sorted(column, key=lambda x: (-count[x], x))
 
 
 class _Counter:
@@ -160,10 +164,8 @@ def _solve(
             return
         if size + disjoint_lower_bound(uncovered) >= best:
             return
-        count = _coverage(uncovered)
-        column = _branch_column(uncovered, count)
         banned = 0
-        for v in sorted(bits(column), key=lambda x: (-count[x], x)):
+        for v in _branching(uncovered):
             rest: list[int] = []
             dead = False
             for c in uncovered:
