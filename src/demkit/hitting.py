@@ -12,11 +12,27 @@ greedy disjoint-column lower bound, and split into independent components
 whenever the uncovered columns fall apart. Sibling branches exclude already
 tried vertices, so no partial solution is explored twice. Given a target
 size, it stops at the first solution that small: ``exists_hitting_set``.
+
 ``_lexicographic_walk`` is the one loop that lists minimum sets in order,
 under the feasibility test each operation passes it. The witness passes the
 exact ``exists_hitting_set`` and takes the first set without backtracking;
 the enumeration passes the disjoint-column bound, cheaper when every set is
 listed anyway.
+
+Where the disjoint-column bound fails to prune, ``_solve`` can also try a
+partition bound (``partition_bound``). Take a partition of the vertices into
+disjoint blocks and add up, over the blocks, the exact hitting number of the
+columns lying wholly inside each block. That sum is a lower bound: a hitting
+set meets each block in a set that hits the block's columns, and the blocks
+are disjoint, so the set is at least as large as the sum. The bound needs
+nothing about products, but products make it strong. ``monitoring`` passes
+the layers of the Cartesian prime factors (``products.factor_layers``, after
+Feder 1992 and Imrich and Peterin, "Recognizing Cartesian products in linear
+time", Discrete Math. 2007). For prime G and H, a layer edge of G box H is
+monitored only from inside its layer, so at the root the bound over the
+H-layers is |G|·dem(H), and the larger of the two partitions gives the
+paper's lower bound max(|G|·dem(H), |H|·dem(G)). The bound tightens as the
+search bans vertices, and the witness search uses it too.
 """
 
 from __future__ import annotations
@@ -25,6 +41,9 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceededError
+
+# partitions of the vertices, each a tuple of disjoint block masks
+Partitions = tuple[tuple[int, ...], ...]
 
 
 def bits(mask: int) -> list[int]:
@@ -119,15 +138,58 @@ def _branching(cols: Sequence[int]) -> list[int]:
     return sorted(column, key=lambda x: (-count[x], x))
 
 
-class _Counter:
-    __slots__ = ("nodes",)
+class _Search:
+    """What one solve shares across its recursion: the nodes explored and
+    the exact values of the blocks the partition bound has solved."""
+
+    __slots__ = ("nodes", "blocks")
 
     def __init__(self):
         self.nodes = 0
+        self.blocks: dict[tuple[int, ...], int] = {}
+
+
+def partition_bound(
+    cols: Sequence[int],
+    parts: Partitions,
+    memo: dict[tuple[int, ...], int] | None = None,
+) -> int:
+    """Largest, over the partitions, sum over the blocks of the exact hitting
+    number of the columns lying wholly inside the block.
+
+    A hitting set meets each block in a set hitting that block's columns, and
+    the blocks are disjoint, so every sum lower-bounds the hitting number.
+    ``memo`` maps a block's columns to its value; the block solves' own
+    nodes are not counted.
+    """
+    if memo is None:
+        memo = {}
+    best = 0
+    for blocks in parts:
+        inside: dict[int, list[int]] = {}
+        for c in cols:
+            for b in blocks:
+                if c & b:  # the only block that can hold c
+                    if not c & ~b:
+                        inside.setdefault(b, []).append(c)
+                    break
+        total = 0
+        for group in inside.values():
+            key = tuple(group)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = _solve(reduce_columns(group), _Search())
+            total += value
+        best = max(best, total)
+    return best
 
 
 def _solve(
-    cols: list[int], counter: _Counter, cap: int | None = None, target: int = -1
+    cols: list[int],
+    search: _Search,
+    cap: int | None = None,
+    target: int = -1,
+    parts: Partitions = (),
 ) -> int:
     """Exact minimum hitting size of reduced, nonempty columns.
 
@@ -135,12 +197,14 @@ def _solve(
     than ``cap`` are searched for, and a value >= ``cap`` is returned if none
     exists. The search stops at the first solution of size <= ``target`` and
     returns that size, which is then achievable but not necessarily minimum.
+    ``parts`` feeds :func:`partition_bound`, tried at a node only when the
+    disjoint-column bound failed to prune it.
     """
     if not cols:
         return 0
     comps = _components(cols)
     if len(comps) > 1:
-        return sum(_solve(comp, counter) for comp in comps)
+        return sum(_solve(comp, search, parts=parts) for comp in comps)
     best = len(greedy_hitting(cols))
     if cap is not None and cap < best:
         best = cap
@@ -149,7 +213,7 @@ def _solve(
 
     def rec(uncovered: list[int], size: int) -> None:
         nonlocal best
-        counter.nodes += 1
+        search.nodes += 1
         if not uncovered:
             if size < best:
                 best = size
@@ -158,11 +222,13 @@ def _solve(
             return
         comps = _components(uncovered)
         if len(comps) > 1:
-            total = size + sum(_solve(comp, counter) for comp in comps)
+            total = size + sum(_solve(comp, search, parts=parts) for comp in comps)
             if total < best:
                 best = total
             return
         if size + disjoint_lower_bound(uncovered) >= best:
+            return
+        if parts and size + partition_bound(uncovered, parts, search.blocks) >= best:
             return
         banned = 0
         for v in _branching(uncovered):
@@ -187,35 +253,44 @@ def _solve(
 
 
 def minimum_hitting_set(
-    columns: Sequence[int], *, upper: int | None = None
+    columns: Sequence[int], *, upper: int | None = None, parts: Partitions = ()
 ) -> tuple[int, int]:
     """Exact minimum hitting-set size and the number of search nodes.
 
     ``upper``, when given, must be the size of a known valid hitting set.
+    ``parts`` are vertex partitions for :func:`partition_bound`.
     """
     if any(c == 0 for c in columns):
         raise ValueError("unhittable empty column")
-    counter = _Counter()
-    value = _solve(reduce_columns(columns), counter, cap=upper)
-    return value, counter.nodes
+    search = _Search()
+    value = _solve(reduce_columns(columns), search, cap=upper, parts=parts)
+    return value, search.nodes
 
 
-def exists_hitting_set(columns: Sequence[int], budget: int) -> bool:
+def exists_hitting_set(
+    columns: Sequence[int], budget: int, parts: Partitions = ()
+) -> bool:
     """True iff some hitting set of size <= budget exists."""
     if budget < 0 or any(c == 0 for c in columns):
         return False
     cols = reduce_columns(columns)
-    return _solve(cols, _Counter(), cap=budget + 1, target=budget) <= budget
+    found = _solve(cols, _Search(), cap=budget + 1, target=budget, parts=parts)
+    return found <= budget
 
 
 def _lexicographic_walk(
-    columns: Sequence[int], n: int, size: int, feasible: Callable[..., bool]
+    columns: Sequence[int],
+    n: int,
+    size: int,
+    feasible: Callable[..., bool],
+    parts: Partitions = (),
 ) -> Iterator[tuple[int, ...]]:
     """Hitting sets of ``size`` (the minimum) vertices, in lexicographic order.
 
     Tries vertices in id order, skipping one that hits no unhit column, and
-    descends only where ``feasible(columns, budget)`` accepts the columns left
-    unhit, restricted to later vertices, within the rest of the budget.
+    descends only where ``feasible(columns, budget, parts)`` accepts the
+    columns left unhit, restricted to later vertices, within the rest of the
+    budget; the blocks of ``parts`` are restricted to later vertices alike.
     """
     chosen: list[int] = []
 
@@ -230,8 +305,14 @@ def _lexicographic_walk(
             rest = [c for c in uncovered if not (c >> v) & 1]
             if len(rest) == len(uncovered):
                 continue
-            later = [c >> (v + 1) for c in rest]  # ids shift, order is kept
-            if 0 in later or not feasible(later, budget):
+            shift = v + 1  # ids shift, order is kept
+            later = [c >> shift for c in rest]
+            if 0 in later:
+                continue
+            later_parts = tuple(
+                tuple(b >> shift for b in blocks if b >> shift) for blocks in parts
+            )
+            if not feasible(later, budget, later_parts):
                 continue
             chosen.append(v)
             yield from walk(rest, v + 1)
@@ -241,11 +322,11 @@ def _lexicographic_walk(
 
 
 def lexicographically_smallest(
-    columns: Sequence[int], n: int, size: int
+    columns: Sequence[int], n: int, size: int, parts: Partitions = ()
 ) -> tuple[int, ...]:
     """The lexicographically smallest hitting set of exactly the given
     (minimum) size, as a sorted tuple of vertex ids."""
-    for first in _lexicographic_walk(columns, n, size, exists_hitting_set):
+    for first in _lexicographic_walk(columns, n, size, exists_hitting_set, parts):
         return first
     raise ValueError("no hitting set of the requested size exists")
 
@@ -265,7 +346,7 @@ def enumerate_minimum_sets(
     """All hitting sets of exactly the given (minimum) size, in lexicographic
     order. Raises :class:`EnumerationCapExceededError` past ``cap`` sets."""
     walk = _lexicographic_walk(
-        columns, n, size, lambda cols, budget: disjoint_lower_bound(cols) <= budget
+        columns, n, size, lambda cols, budget, _: disjoint_lower_bound(cols) <= budget
     )
     sets = tuple(islice(walk, cap + 1))
     if len(sets) > cap:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import hitting
+from . import hitting, products
 from .errors import CapExceededError, GraphError
 from .graph import Graph
 
@@ -203,6 +203,9 @@ def dem_number(
     The witness is the lexicographically smallest minimum set; with
     ``enumerate_all`` every minimum set is listed (capped). Branch and bound
     over the hitting-set instance, seeded with the greedy monitoring set.
+    When the greedy set is larger than the disjoint-column bound, the search
+    and the witness also prune with the partition bound over the layers of
+    the graph's Cartesian prime factors (``products.factor_layers``).
     """
     if g.n > max_n:
         raise CapExceededError("monitoring solver", g.n, max_n)
@@ -211,7 +214,13 @@ def dem_number(
         return DemResult(g.n, 0, 0, (), sets, 0, ())
     matrix = monitor_matrix(g, max_n=max_n)
     greedy = greedy_dem(g, matrix)
-    value, nodes = hitting.minimum_hitting_set(matrix.cols, upper=len(greedy))
+    parts: hitting.Partitions = ()
+    root_bound = hitting.disjoint_lower_bound(hitting.reduce_columns(matrix.cols))
+    if len(greedy) > root_bound:
+        parts = products.factor_layers(g)
+    value, nodes = hitting.minimum_hitting_set(
+        matrix.cols, upper=len(greedy), parts=parts
+    )
     if enumerate_all:
         sets = hitting.enumerate_minimum_sets(
             matrix.cols, g.n, value, enumeration_cap
@@ -219,5 +228,5 @@ def dem_number(
         witness = sets[0]
     else:
         sets = None
-        witness = hitting.lexicographically_smallest(matrix.cols, g.n, value)
+        witness = hitting.lexicographically_smallest(matrix.cols, g.n, value, parts)
     return DemResult(g.n, g.m, value, witness, sets, nodes, greedy)

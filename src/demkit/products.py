@@ -3,6 +3,10 @@
 Each constructor returns ``(Graph, ProductVertexMap)``; the map records where
 every product vertex came from so tests and reports can address factor copies
 and layers by structure instead of raw ids.
+
+:func:`factor_layers` goes the other way for the Cartesian product: it finds
+the layers of the prime factors of a plain graph, with no expression to read
+them from.
 """
 
 from __future__ import annotations
@@ -138,3 +142,80 @@ def cartesian(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
         edges += [(u * n + j, v * n + j) for j in range(n)]
     origins = tuple(("GH", i, j) for i in range(m) for j in range(n))
     return Graph(m * n, edges), ProductVertexMap("cartesian", m, n, origins)
+
+
+def _on_chordless_squares(g: Graph, adj: list[int]) -> bool:
+    """True iff every edge lies on a chordless 4-cycle, as every edge of a
+    product of two nontrivial connected graphs does: edge (a,h)(b,h) lies on
+    (a,h)(b,h)(b,k)(a,k) for any neighbour k of h. ``adj`` holds each
+    vertex's neighbours as a mask."""
+    for u, v in g.edges:
+        near_u = adj[u] & ~adj[v] & ~(1 << v)  # a square's third vertex
+        near_v = adj[v] & ~adj[u] & ~(1 << u)  # and its fourth
+        while near_u:
+            low = near_u & -near_u
+            if adj[low.bit_length() - 1] & near_v:
+                break
+            near_u ^= low
+        else:
+            return False
+    return True
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    parent[_find(parent, x)] = _find(parent, y)
+
+
+def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The layers of each Cartesian prime factor of g, as vertex masks.
+
+    The edge classes of the prime factors are the transitive closure of two
+    relations (Feder 1992; Imrich and Peterin, "Recognizing Cartesian
+    products in linear time", Discrete Math. 2007): Djokovic-Winkler Theta,
+    xy ~ uv iff d(x,u) + d(y,v) != d(x,v) + d(y,u), and tau, two edges at
+    one vertex that lie on no chordless square together. Each class gives one
+    partition, its blocks the connected components of the class's edges:
+    the copies of that factor. Returns ``()`` for a prime graph, and for a
+    graph with an edge on no chordless square without computing a distance.
+    """
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    if g.m == 0 or not _on_chordless_squares(g, adj):
+        return ()
+    edges = g.edges
+    classes = list(range(len(edges)))
+    dist = g.distance_matrix
+    for i, (x, y) in enumerate(edges):
+        dx, dy = dist[x], dist[y]
+        for j in range(i + 1, len(edges)):
+            u, v = edges[j]
+            if dx[u] + dy[v] != dx[v] + dy[u]:
+                _union(classes, i, j)
+    for x in range(g.n):
+        around = g.neighbors(x)
+        for k, y in enumerate(around):
+            for z in around[k + 1:]:
+                if (adj[y] >> z) & 1 or not adj[y] & adj[z] & ~adj[x] & ~(1 << x):
+                    _union(classes, g.edge_id(x, y), g.edge_id(x, z))
+    members: dict[int, list[tuple[int, int]]] = {}
+    for i, e in enumerate(edges):
+        members.setdefault(_find(classes, i), []).append(e)
+    if len(members) < 2:
+        return ()
+    partitions = []
+    for class_edges in members.values():
+        parent = list(range(g.n))
+        for u, v in class_edges:
+            _union(parent, u, v)
+        blocks: dict[int, int] = {}
+        for u, v in class_edges:
+            root = _find(parent, u)
+            blocks[root] = blocks.get(root, 0) | 1 << u | 1 << v
+        partitions.append(tuple(sorted(blocks.values(), key=lambda b: b & -b)))
+    return tuple(partitions)
