@@ -1,14 +1,16 @@
 import json
+import time
 import tracemalloc
 
 import pytest
 
 import demkit.cli
 import demkit.graph
-from demkit import Graph, parse_edge_list
+from demkit import Graph, build, parse_edge_list, parse_expr, predicted_dem
 from demkit.cli import main
 from demkit.exprs import MAX_NESTING
 
+import oracles
 from conftest import book
 
 
@@ -56,6 +58,21 @@ class TestDem:
             calls.clear()
             code, _, _ = run(capsys, "dem", "gen=cycle:24", "--greedy", "--format", fmt)
             assert code == 0 and sorted(calls) == list(range(24))
+
+    def test_torus_past_the_cap(self, capsys):
+        # C7 x C7 (49 vertices) closes within seconds with the layer bound
+        spec = "cartesian(cycle:7|cycle:7)"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "dem", f"gen={spec}", "--max-n", "49")
+        assert code == 0 and time.perf_counter() - start < 5
+        doc = json.loads(out)
+        predicted = predicted_dem(spec)
+        assert predicted.rule.startswith("cycle x cycle")
+        assert doc["dem"] == predicted.lower == predicted.upper == 14
+        g = build(parse_expr(spec))
+        chosen = set(doc["witness"])
+        columns = oracles.monitor_columns(g.n, list(g.edges))
+        assert len(chosen) == 14 and all(col & chosen for col in columns)
 
     def test_file_input(self, capsys, tmp_path):
         target = tmp_path / "triangle.txt"

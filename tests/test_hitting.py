@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from demkit.errors import EnumerationCapExceededError
 from demkit.hitting import (
+    _lexicographic_walk,
     enumerate_minimum_sets,
     exists_hitting_set,
     greedy_hitting,
     lexicographically_smallest,
     minimum_hitting_set,
+    partition_bound,
     reduce_columns,
 )
 
@@ -123,6 +125,52 @@ def test_feasibility_and_witness_match_subset_search(case, slack):
                 enumerate_minimum_sets(cols, n, size, cap)
         else:
             assert enumerate_minimum_sets(cols, n, size, cap) == minimum
+
+
+@st.composite
+def partitioned_columns(draw):
+    """Nonempty columns over n <= 10 vertices and up to three partitions;
+    a vertex labelled -1 lies in no block of that partition."""
+    n = draw(st.integers(1, 10))
+    cols = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=12))
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        blocks: dict[int, int] = {}
+        for v, label in enumerate(labels):
+            if label >= 0:
+                blocks[label] = blocks.get(label, 0) | 1 << v
+        parts.append(tuple(blocks.values()))
+    return n, cols, tuple(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_columns())
+def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
+    n, cols, parts = case
+    first = _first_hitting_set(cols, n)
+    size = len(first)
+    assert partition_bound(cols, parts) <= size
+    assert partition_bound(cols, (((1 << n) - 1,),)) == size  # one block: exact
+    value, nodes = minimum_hitting_set(cols, parts=parts)
+    assert value == size and nodes <= minimum_hitting_set(cols)[1]
+    for budget in range(size - 2, size + 2):
+        assert exists_hitting_set(cols, budget, parts) == (budget >= size)
+    assert lexicographically_smallest(cols, n, size, parts) == first
+
+
+def test_walk_restricts_blocks_as_it_restricts_columns():
+    # ids shift down past the chosen vertex; a block left empty is dropped
+    seen = []
+
+    def feasible(cols, budget, parts):
+        seen.append((cols, parts))
+        return exists_hitting_set(cols, budget, parts)
+
+    cols = masks({0, 1}, {2, 3})
+    parts = ((0b0011, 0b1100),)
+    assert next(_lexicographic_walk(cols, 4, 2, feasible, parts)) == (0, 2)
+    assert seen == [([0b110], ((0b001, 0b110),)), ([], ((0b1,),))]
 
 
 def _greedy_by_rows(cols, n):

@@ -22,6 +22,13 @@ from demkit import (
     parse_expr,
     vertex_cover_number,
 )
+from demkit.hitting import (
+    lexicographically_smallest,
+    minimum_hitting_set,
+    partition_bound,
+    reduce_columns,
+)
+from demkit.products import cartesian, factor_layers
 
 import oracles
 from conftest import (
@@ -365,3 +372,52 @@ def test_value_and_witness_match_the_oracles(g):
         if all(col & set(subset) for col in columns)
     )
     assert result.witness == first
+
+
+def _without_partitions(g):
+    """Value, witness and nodes of the search with no partition bound."""
+    cols = monitor_matrix(g, max_n=g.n).cols
+    value, nodes = minimum_hitting_set(cols)
+    return value, lexicographically_smallest(cols, g.n, value), nodes
+
+
+def _assert_same_answer(g):
+    result = dem_number(g, max_n=g.n)
+    value, witness, nodes = _without_partitions(g)
+    assert (result.value, result.witness) == (value, witness)
+    assert result.nodes_explored <= nodes
+
+
+# prime factors, so that the layers found are those of the two factors
+PRIME_SPECS = [
+    "path:2", "path:3", "path:4", "cycle:3", "cycle:5",
+    "complete:4", "book:2", "bipartite:1:3",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIME_SPECS), st.sampled_from(PRIME_SPECS))
+def test_partition_bound_at_the_root_is_the_papers_lower_bound(left, right):
+    a, b = build(parse_expr(left)), build(parse_expr(right))
+    g, _ = cartesian(a, b)
+    cols = reduce_columns(monitor_matrix(g, max_n=g.n).cols)
+    expected = max(a.n * dem_number(b).value, b.n * dem_number(a).value)
+    assert partition_bound(cols, factor_layers(g)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=4), connected_graphs(max_n=4))
+def test_partitions_change_no_answer_on_products(a, b):
+    g, _ = cartesian(a, b)
+    if a.n > 1 and b.n > 1:
+        assert len(factor_layers(g)) >= 2
+    _assert_same_answer(g)
+
+
+def test_partitions_change_no_answer_on_the_oracle_corpus():
+    """Every graph criterion 15 checks the monitor matrix on."""
+    for n in range(2, 6):
+        for edges in oracles.connected_edge_subsets(n):
+            _assert_same_answer(Graph(n, edges))
+    for i in range(50):
+        _assert_same_answer(random_connected(6 + i % 3, 1, 2, 8000 + i))

@@ -1,10 +1,13 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demkit import GraphError, cartesian, cluster, corona, join
+from demkit import Graph, GraphError, build, cartesian, cluster, corona, join, parse_expr
+from demkit.products import factor_layers
 
-from conftest import book, complete, cycle, path, random_connected
+from conftest import book, complete, cycle, path, random_connected, random_tree
 
 
 class TestJoin:
@@ -140,3 +143,90 @@ def test_edge_count_formulas_on_random_factors():
         assert corona(g, h)[0].m == m * (h.m + n) + g.m
         assert cluster(g, h)[0].m == g.m + m * h.m
         assert cartesian(g, h)[0].m == m * h.m + n * g.m
+
+
+def _masks(layers):
+    return frozenset(sum(1 << v for v in layer) for layer in layers)
+
+
+def _product_layers(a, b):
+    """The G-layers and the H-layers of a x b, each as a set of masks."""
+    g, pm = cartesian(a, b)
+    return g, {
+        _masks(pm.g_layer(j) for j in range(b.n)),
+        _masks(pm.h_layer(i) for i in range(a.n)),
+    }
+
+
+def _petersen():
+    return Graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+
+
+# prime factors: a Cartesian product of them has exactly two factor classes
+PRIME_FACTORS = [
+    path(2), path(3), path(4), cycle(3), cycle(5), cycle(6),
+    complete(4), book(2), book(3), build(parse_expr("bipartite:3:3")),
+]
+
+
+class TestFactorLayers:
+    def test_layers_of_built_products(self):
+        for a, b in combinations_with_replacement(PRIME_FACTORS, 2):
+            g, expected = _product_layers(a, b)
+            parts = factor_layers(g)
+            assert {frozenset(blocks) for blocks in parts} == expected, (a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 7), st.integers(0, 10_000),
+        st.sampled_from(["cycle", "complete", "tree"]), st.integers(3, 6),
+    )
+    def test_layers_of_random_prime_factors(self, t, seed, kind, k):
+        tree = path(2) if t == 2 else random_tree(t, seed)
+        other = {"cycle": cycle(k + (k == 4)), "complete": complete(k)}.get(
+            kind, random_tree(k, seed + 1)
+        )
+        for a, b in ((tree, other), (other, tree)):
+            g, expected = _product_layers(a, b)
+            assert {frozenset(blocks) for blocks in factor_layers(g)} == expected
+
+    def test_composite_factors_split_into_their_primes(self):
+        # C4 = K2 x K2 and Q4 = K2^4: one class per prime factor
+        assert len(factor_layers(cartesian(cycle(4), cycle(6))[0])) == 3
+        assert len(factor_layers(build(parse_expr("hypercube:4")))) == 4
+
+    def test_prime_graphs_yield_no_partition(self):
+        graphs = [
+            build(parse_expr(spec))
+            for spec in (
+                "cycle:24", "path:24", "book:22", "join(path:6|cycle:8)",
+                "corona(path:4|complete:4)", "bipartite:3:3",
+            )
+        ]
+        graphs.append(_petersen())
+        graphs += [random_connected(24, 1, 2, seed) for seed in range(3)]
+        for g in graphs:
+            assert factor_layers(g) == (), g
+
+    def test_square_test_comes_before_any_distance(self, monkeypatch):
+        calls = []
+        bfs = Graph.distances_from
+
+        def counting(self, source, removed=None):
+            calls.append(source)
+            return bfs(self, source, removed)
+
+        monkeypatch.setattr(Graph, "distances_from", counting)
+        for spec in ("cycle:24", "book:22", "join(path:6|cycle:8)", "complete:6"):
+            g = build(parse_expr(spec))  # fresh: no cached distances
+            calls.clear()
+            assert factor_layers(g) == ()
+            assert calls == [], spec
+        # K3,3 has every edge on a chordless square, so its classes are computed
+        factor_layers(build(parse_expr("bipartite:3:3")))
+        assert calls
