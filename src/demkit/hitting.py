@@ -32,7 +32,9 @@ time", Discrete Math. 2007). For prime G and H, a layer edge of G box H is
 monitored only from inside its layer, so at the root the bound over the
 H-layers is |G|·dem(H), and the larger of the two partitions gives the
 paper's lower bound max(|G|·dem(H), |H|·dem(G)). The bound tightens as the
-search bans vertices, and the witness search uses it too.
+search bans vertices. Block values are memoized with ids shifted down to the
+block, so copies of one layer are solved once; the searches of one witness
+walk share one memo.
 """
 
 from __future__ import annotations
@@ -140,27 +142,29 @@ def _branching(cols: Sequence[int]) -> list[int]:
 
 class _Search:
     """What one solve shares across its recursion: the nodes explored and
-    the exact values of the blocks the partition bound has solved."""
+    the memo of block values for :func:`partition_bound`, which the
+    searches of one witness walk also share."""
 
     __slots__ = ("nodes", "blocks")
 
-    def __init__(self):
+    def __init__(self, memo: dict | None = None):
         self.nodes = 0
-        self.blocks: dict[tuple[int, ...], int] = {}
+        self.blocks = {} if memo is None else memo
 
 
 def partition_bound(
     cols: Sequence[int],
     parts: Partitions,
-    memo: dict[tuple[int, ...], int] | None = None,
+    memo: dict | None = None,
 ) -> int:
     """Largest, over the partitions, sum over the blocks of the exact hitting
     number of the columns lying wholly inside the block.
 
     A hitting set meets each block in a set hitting that block's columns, and
     the blocks are disjoint, so every sum lower-bounds the hitting number.
-    ``memo`` maps a block's columns to its value; the block solves' own
-    nodes are not counted.
+    ``memo`` maps a block's columns, with ids shifted down to the block's
+    lowest vertex, to its value, so that copies of one layer are solved once.
+    The block solves' own nodes are not counted.
     """
     if memo is None:
         memo = {}
@@ -174,8 +178,9 @@ def partition_bound(
                         inside.setdefault(b, []).append(c)
                     break
         total = 0
-        for group in inside.values():
-            key = tuple(group)
+        for b, group in inside.items():
+            low = (b & -b).bit_length() - 1
+            key = tuple(c >> low for c in group)
             value = memo.get(key)
             if value is None:
                 value = memo[key] = _solve(reduce_columns(group), _Search())
@@ -268,13 +273,17 @@ def minimum_hitting_set(
 
 
 def exists_hitting_set(
-    columns: Sequence[int], budget: int, parts: Partitions = ()
+    columns: Sequence[int],
+    budget: int,
+    parts: Partitions = (),
+    memo: dict | None = None,
 ) -> bool:
-    """True iff some hitting set of size <= budget exists."""
+    """True iff some hitting set of size <= budget exists. ``memo`` holds
+    block values (see :func:`partition_bound`) to share between searches."""
     if budget < 0 or any(c == 0 for c in columns):
         return False
     cols = reduce_columns(columns)
-    found = _solve(cols, _Search(), cap=budget + 1, target=budget, parts=parts)
+    found = _solve(cols, _Search(memo), cap=budget + 1, target=budget, parts=parts)
     return found <= budget
 
 
@@ -326,7 +335,12 @@ def lexicographically_smallest(
 ) -> tuple[int, ...]:
     """The lexicographically smallest hitting set of exactly the given
     (minimum) size, as a sorted tuple of vertex ids."""
-    for first in _lexicographic_walk(columns, n, size, exists_hitting_set, parts):
+    memo: dict = {}  # block values, shared by every search of the walk
+
+    def feasible(cols: list[int], budget: int, later_parts: Partitions) -> bool:
+        return exists_hitting_set(cols, budget, later_parts, memo)
+
+    for first in _lexicographic_walk(columns, n, size, feasible, parts):
         return first
     raise ValueError("no hitting set of the requested size exists")
 
