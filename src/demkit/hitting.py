@@ -44,8 +44,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceededError
 
-# partitions of the vertices, each a tuple of disjoint block masks
-Partitions = tuple[tuple[int, ...], ...]
+# partitions of the vertices, each a sequence of disjoint block masks
+Partitions = Sequence[Sequence[int]]
 
 
 def bits(mask: int) -> list[int]:
@@ -162,8 +162,9 @@ def partition_bound(
 
     A hitting set meets each block in a set hitting that block's columns, and
     the blocks are disjoint, so every sum lower-bounds the hitting number.
-    ``memo`` maps a block's columns, with ids shifted down to the block's
-    lowest vertex, to its value, so that copies of one layer are solved once.
+    ``memo`` maps the set of a block's columns, with ids shifted down to the
+    block's lowest vertex, to its value, so that copies of one layer are
+    solved once.
     The block solves' own nodes are not counted.
     """
     if memo is None:
@@ -180,7 +181,7 @@ def partition_bound(
         total = 0
         for b, group in inside.items():
             low = (b & -b).bit_length() - 1
-            key = tuple(c >> low for c in group)
+            key = frozenset(c >> low for c in group)
             value = memo.get(key)
             if value is None:
                 value = memo[key] = _solve(reduce_columns(group), _Search())
@@ -318,9 +319,9 @@ def _lexicographic_walk(
             later = [c >> shift for c in rest]
             if 0 in later:
                 continue
-            later_parts = tuple(
-                tuple(b >> shift for b in blocks if b >> shift) for blocks in parts
-            )
+            later_parts = [
+                [b >> shift for b in blocks if b >> shift] for blocks in parts
+            ]
             if not feasible(later, budget, later_parts):
                 continue
             chosen.append(v)

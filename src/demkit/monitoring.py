@@ -215,8 +215,10 @@ def dem_number(
     matrix = monitor_matrix(g, max_n=max_n)
     greedy = greedy_dem(g, matrix)
     parts: hitting.Partitions = ()
-    root_bound = hitting.disjoint_lower_bound(hitting.reduce_columns(matrix.cols))
-    if len(greedy) > root_bound:
+    # the disjoint bound of the reduced columns, without reducing: sorted by
+    # value, the columns are met in the same order, and a superset of
+    # another column is never picked
+    if len(greedy) > hitting.disjoint_lower_bound(sorted(set(matrix.cols))):
         parts = products.factor_layers(g)
     value, nodes = hitting.minimum_hitting_set(
         matrix.cols, upper=len(greedy), parts=parts

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from demkit.errors import EnumerationCapExceededError
 from demkit.hitting import (
     _lexicographic_walk,
+    disjoint_lower_bound,
     enumerate_minimum_sets,
     exists_hitting_set,
     greedy_hitting,
@@ -159,6 +160,17 @@ def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
     assert lexicographically_smallest(cols, n, size, parts) == first
 
 
+@settings(max_examples=300, deadline=None)
+@given(column_sets())
+def test_disjoint_bound_needs_no_reduction(case):
+    # dem_number gates the factorisation on this bound of the raw columns
+    _, cols = case
+    cols = [c for c in cols if c]
+    assert disjoint_lower_bound(sorted(set(cols))) == disjoint_lower_bound(
+        reduce_columns(cols)
+    )
+
+
 def test_walk_restricts_blocks_as_it_restricts_columns():
     # ids shift down past the chosen vertex; a block left empty is dropped
     seen = []
@@ -170,7 +182,7 @@ def test_walk_restricts_blocks_as_it_restricts_columns():
     cols = masks({0, 1}, {2, 3})
     parts = ((0b0011, 0b1100),)
     assert next(_lexicographic_walk(cols, 4, 2, feasible, parts)) == (0, 2)
-    assert seen == [([0b110], ((0b001, 0b110),)), ([], ((0b1,),))]
+    assert seen == [([0b110], [[0b001, 0b110]]), ([], [[0b1]])]
 
 
 def _greedy_by_rows(cols, n):
