@@ -28,11 +28,11 @@ are disjoint, so the set is at least as large as the sum. The bound needs
 nothing about products, but products make it strong. ``monitoring`` passes
 the layers of the Cartesian prime factors (``products.factor_layers``, after
 Feder 1992 and Imrich and Peterin, "Recognizing Cartesian products in linear
-time", Discrete Math. 2007). For prime G and H, a layer edge of G box H is
-monitored only from inside its layer, so at the root the bound over the
-H-layers is |G|·dem(H), and the larger of the two partitions gives the
-paper's lower bound max(|G|·dem(H), |H|·dem(G)). The bound tightens as the
-search bans vertices. Block values are memoized with ids shifted down to the
+time", Discrete Math. 2007). A layer edge of G box H is monitored only from
+inside its layer, so when G and H are prime, and their layers are the blocks
+found, the bound at the root over the H-layers is |G|·dem(H), and the larger
+of the two partitions gives the paper's lower bound max(|G|·dem(H),
+|H|·dem(G)). The bound tightens as the search bans vertices. Block values are memoized with ids shifted down to the
 block, so copies of one layer are solved once; the searches of one witness
 walk share one memo.
 """
@@ -145,17 +145,15 @@ class _Search:
     the memo of block values for :func:`partition_bound`, which the
     searches of one witness walk also share."""
 
-    __slots__ = ("nodes", "blocks")
+    __slots__ = ("nodes", "memo")
 
     def __init__(self, memo: dict | None = None):
         self.nodes = 0
-        self.blocks = {} if memo is None else memo
+        self.memo = {} if memo is None else memo
 
 
 def partition_bound(
-    cols: Sequence[int],
-    parts: Partitions,
-    memo: dict | None = None,
+    cols: Sequence[int], parts: Partitions, memo: dict | None = None
 ) -> int:
     """Largest, over the partitions, sum over the blocks of the exact hitting
     number of the columns lying wholly inside the block.
@@ -164,8 +162,7 @@ def partition_bound(
     the blocks are disjoint, so every sum lower-bounds the hitting number.
     ``memo`` maps the set of a block's columns, with ids shifted down to the
     block's lowest vertex, to its value, so that copies of one layer are
-    solved once.
-    The block solves' own nodes are not counted.
+    solved once. The block solves' own nodes are not counted.
     """
     if memo is None:
         memo = {}
@@ -234,7 +231,7 @@ def _solve(
             return
         if size + disjoint_lower_bound(uncovered) >= best:
             return
-        if parts and size + partition_bound(uncovered, parts, search.blocks) >= best:
+        if parts and size + partition_bound(uncovered, parts, search.memo) >= best:
             return
         banned = 0
         for v in _branching(uncovered):

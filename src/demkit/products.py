@@ -191,7 +191,7 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     edges = g.edges
     classes = list(range(len(edges)))
     dist = [g.distances_from(v) for v in range(g.n)]
-    for i, (x, y) in enumerate(edges):
+    for i, (x, y) in enumerate(edges):  # Theta
         dx, dy = dist[x], dist[y]
         for j in range(i + 1, len(edges)):
             u, v = edges[j]
@@ -200,7 +200,7 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     for x in range(g.n):
         around = g.neighbors(x)
         for k, y in enumerate(around):
-            for z in around[k + 1:]:
+            for z in around[k + 1:]:  # tau: no w closes a chordless x y w z
                 if (adj[y] >> z) & 1 or not adj[y] & adj[z] & ~adj[x] & ~(1 << x):
                     _union(classes, g.edge_id(x, y), g.edge_id(x, z))
     members: dict[int, list[tuple[int, int]]] = {}
