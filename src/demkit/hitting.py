@@ -14,10 +14,16 @@ tried vertices, so no partial solution is explored twice. Given a target
 size, it stops at the first solution that small: ``exists_hitting_set``.
 
 ``_lexicographic_walk`` is the one loop that lists minimum sets in order,
-under the feasibility test each operation passes it. The witness passes the
-exact ``exists_hitting_set`` and takes the first set without backtracking;
-the enumeration passes the disjoint-column bound, cheaper when every set is
-listed anyway.
+under the feasibility test each operation passes it. The enumeration passes
+the disjoint-column bound, cheaper when every set is listed anyway. The
+witness passes an exact test and takes the first set without backtracking.
+One search serves its whole walk: a candidate vertex is rejected by the
+disjoint-column bound, then by the partition bound, else ``_solve`` decides
+it on the columns left unhit, shifted past the candidate and deduplicated.
+They are not reduced: the reduction is quadratic, ``_solve`` is exact on any
+columns, and sorted by value they give the reduced columns' disjoint bound.
+The set a solve finds is kept as a completion: its lowest vertex is accepted
+next with no test, so most feasible candidates cost nothing.
 
 Where the disjoint-column bound fails to prune, ``_solve`` can also try a
 partition bound (``partition_bound``). Take a partition of the vertices into
@@ -32,9 +38,9 @@ time", Discrete Math. 2007). A layer edge of G box H is monitored only from
 inside its layer, so when G and H are prime, and their layers are the blocks
 found, the bound at the root over the H-layers is |G|·dem(H), and the larger
 of the two partitions gives the paper's lower bound max(|G|·dem(H),
-|H|·dem(G)). The bound tightens as the search bans vertices. Block values are memoized with ids shifted down to the
-block, so copies of one layer are solved once; the searches of one witness
-walk share one memo.
+|H|·dem(G)). The bound tightens as the search bans vertices. Block values
+are memoized with ids shifted down to the block, so copies of one layer are
+solved once; the searches of one witness walk share one memo.
 """
 
 from __future__ import annotations
@@ -181,7 +187,7 @@ def partition_bound(
             key = frozenset(c >> low for c in group)
             value = memo.get(key)
             if value is None:
-                value = memo[key] = _solve(reduce_columns(group), _Search())
+                value = memo[key] = _solve(reduce_columns(group), _Search())[0]
             total += value
         best = max(best, total)
     return best
@@ -193,41 +199,48 @@ def _solve(
     cap: int | None = None,
     target: int = -1,
     parts: Partitions = (),
-) -> int:
-    """Exact minimum hitting size of reduced, nonempty columns.
+) -> tuple[int, int | None]:
+    """Exact minimum hitting size of nonempty columns, and the set found.
 
-    ``cap`` (when given) bounds the search from above: only solutions smaller
-    than ``cap`` are searched for, and a value >= ``cap`` is returned if none
-    exists. The search stops at the first solution of size <= ``target`` and
-    returns that size, which is then achievable but not necessarily minimum.
-    ``parts`` feeds :func:`partition_bound`, tried at a node only when the
-    disjoint-column bound failed to prune it.
+    The columns need not be reduced: a duplicate or a superset of another
+    column changes no answer, only the work. The set, a vertex mask, is the
+    greedy seed, a leaf or the union over the components. ``cap`` (when
+    given) bounds the search from above: only solutions smaller than ``cap``
+    are searched for, and ``cap`` is returned if none exists, with no set
+    (None) unless the greedy seed has that size. The search stops at the
+    first solution of size <= ``target`` and returns it, achievable but not
+    necessarily minimum. ``parts`` feeds :func:`partition_bound`, tried at a
+    node only when the disjoint-column bound failed to prune it.
     """
     if not cols:
-        return 0
+        return 0, 0
     comps = _components(cols)
     if len(comps) > 1:
-        return sum(_solve(comp, search, parts=parts) for comp in comps)
-    best = len(greedy_hitting(cols))
+        # the components' sets are disjoint: their sum is their union
+        total, hit = map(sum, zip(*(_solve(c, search, parts=parts) for c in comps)))
+        return total, hit
+    seed = greedy_hitting(cols)
+    best, best_set = len(seed), sum(1 << v for v in seed)
     if cap is not None and cap < best:
-        best = cap
+        best, best_set = cap, None
     if best <= target:
-        return best
+        return best, best_set
 
-    def rec(uncovered: list[int], size: int) -> None:
-        nonlocal best
+    def rec(uncovered: list[int], chosen: int) -> None:
+        nonlocal best, best_set
         search.nodes += 1
+        size = chosen.bit_count()
         if not uncovered:
             if size < best:
-                best = size
+                best, best_set = size, chosen
             return
         if size + 1 >= best:
             return
         comps = _components(uncovered)
         if len(comps) > 1:
-            total = size + sum(_solve(comp, search, parts=parts) for comp in comps)
-            if total < best:
-                best = total
+            total, hit = map(sum, zip(*(_solve(c, search, parts=parts) for c in comps)))
+            if size + total < best:
+                best, best_set = size + total, chosen | hit
             return
         if size + disjoint_lower_bound(uncovered) >= best:
             return
@@ -246,13 +259,13 @@ def _solve(
                     break
                 rest.append(c2)
             if not dead:
-                rec(rest, size + 1)
+                rec(rest, chosen | 1 << v)
                 if best <= target:
                     return
             banned |= 1 << v
 
     rec(cols, 0)
-    return best
+    return best, best_set
 
 
 def minimum_hitting_set(
@@ -266,7 +279,7 @@ def minimum_hitting_set(
     if any(c == 0 for c in columns):
         raise ValueError("unhittable empty column")
     search = _Search()
-    value = _solve(reduce_columns(columns), search, cap=upper, parts=parts)
+    value, _ = _solve(reduce_columns(columns), search, cap=upper, parts=parts)
     return value, search.nodes
 
 
@@ -281,7 +294,7 @@ def exists_hitting_set(
     if budget < 0 or any(c == 0 for c in columns):
         return False
     cols = reduce_columns(columns)
-    found = _solve(cols, _Search(memo), cap=budget + 1, target=budget, parts=parts)
+    found, _ = _solve(cols, _Search(memo), cap=budget + 1, target=budget, parts=parts)
     return found <= budget
 
 
@@ -289,7 +302,7 @@ def _lexicographic_walk(
     columns: Sequence[int],
     n: int,
     size: int,
-    feasible: Callable[..., bool],
+    feasible: Callable[..., bool | int],
     parts: Partitions = (),
 ) -> Iterator[tuple[int, ...]]:
     """Hitting sets of ``size`` (the minimum) vertices, in lexicographic order.
@@ -298,10 +311,16 @@ def _lexicographic_walk(
     descends only where ``feasible(columns, budget, parts)`` accepts the
     columns left unhit, restricted to later vertices, within the rest of the
     budget; the blocks of ``parts`` are restricted to later vertices alike.
+    ``feasible`` returns False to reject, True to accept, or a completion: a
+    nonzero mask of later vertices hitting those columns within the budget.
+    The walk then descends into the completion's lowest vertex with no test,
+    keeping the rest; vertices below it are still tested.
     """
     chosen: list[int] = []
 
-    def walk(uncovered: list[int], start: int) -> Iterator[tuple[int, ...]]:
+    def walk(
+        uncovered: list[int], start: int, completion: int
+    ) -> Iterator[tuple[int, ...]]:
         if not uncovered:
             if len(chosen) < size:
                 raise ValueError("requested size exceeds the minimum hitting size")
@@ -312,20 +331,25 @@ def _lexicographic_walk(
             rest = [c for c in uncovered if not (c >> v) & 1]
             if len(rest) == len(uncovered):
                 continue
-            shift = v + 1  # ids shift, order is kept
-            later = [c >> shift for c in rest]
-            if 0 in later:
-                continue
-            later_parts = [
-                [b >> shift for b in blocks if b >> shift] for blocks in parts
-            ]
-            if not feasible(later, budget, later_parts):
-                continue
+            if completion & -completion == 1 << v:
+                kept = completion ^ 1 << v
+            else:
+                shift = v + 1  # ids shift, order is kept
+                later = [c >> shift for c in rest]
+                if 0 in later:
+                    continue
+                later_parts = [
+                    [b >> shift for b in blocks if b >> shift] for blocks in parts
+                ]
+                found = feasible(later, budget, later_parts)
+                if not found:
+                    continue
+                kept = 0 if found is True else found << shift
             chosen.append(v)
-            yield from walk(rest, v + 1)
+            yield from walk(rest, v + 1, kept)
             chosen.pop()
 
-    return walk(reduce_columns(columns), 0)
+    return walk(reduce_columns(columns), 0, 0)
 
 
 def lexicographically_smallest(
@@ -333,10 +357,16 @@ def lexicographically_smallest(
 ) -> tuple[int, ...]:
     """The lexicographically smallest hitting set of exactly the given
     (minimum) size, as a sorted tuple of vertex ids."""
-    memo: dict = {}  # block values, shared by every search of the walk
+    search = _Search()  # one memo of block values for the whole walk
 
-    def feasible(cols: list[int], budget: int, later_parts: Partitions) -> bool:
-        return exists_hitting_set(cols, budget, later_parts, memo)
+    def feasible(cols: list[int], budget: int, later_parts: Partitions) -> bool | int:
+        cols = sorted(set(cols))
+        if disjoint_lower_bound(cols) > budget:
+            return False
+        if later_parts and partition_bound(cols, later_parts, search.memo) > budget:
+            return False
+        found, hit = _solve(cols, search, budget + 1, budget, later_parts)
+        return found <= budget and (hit or True)
 
     for first in _lexicographic_walk(columns, n, size, feasible, parts):
         return first

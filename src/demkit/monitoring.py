@@ -202,24 +202,15 @@ def dem_number(
 
     The witness is the lexicographically smallest minimum set; with
     ``enumerate_all`` every minimum set is listed (capped). Branch and bound
-    over the hitting-set instance, seeded with the greedy monitoring set.
-    When the greedy set is larger than the disjoint-column bound, the search
-    and the witness also prune with the partition bound over the layers of
-    the graph's Cartesian prime factors (``products.factor_layers``).
+    over the hitting-set instance, seeded with the greedy monitoring set. The
+    search and the witness also prune with the partition bound over the
+    layers of the graph's Cartesian prime factors (``products.factor_layers``).
     """
     if g.n > max_n:
         raise CapExceededError("monitoring solver", g.n, max_n)
-    if g.m == 0:
-        sets = ((),) if enumerate_all else None
-        return DemResult(g.n, 0, 0, (), sets, 0, ())
     matrix = monitor_matrix(g, max_n=max_n)
     greedy = greedy_dem(g, matrix)
-    parts: hitting.Partitions = ()
-    # the disjoint bound of the reduced columns, without reducing: sorted by
-    # value, the columns are met in the same order, and a superset of
-    # another column is never picked
-    if len(greedy) > hitting.disjoint_lower_bound(sorted(set(matrix.cols))):
-        parts = products.factor_layers(g)
+    parts = products.factor_layers(g)
     value, nodes = hitting.minimum_hitting_set(
         matrix.cols, upper=len(greedy), parts=parts
     )

@@ -92,6 +92,13 @@ class TestDem:
         code, _, err = run(capsys, "dem", "gen=cycle:30")
         assert code == 2 and "cap" in err
 
+    def test_enumeration_cap_applies_to_an_edgeless_graph(self, capsys):
+        code, out, err = run(
+            capsys, "dem", "gen=path:1", "--all-min-sets", "--enum-cap", "0"
+        )
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "enumeration cap 0" in err
+
     def test_max_n_flag_lifts_cap(self, capsys):
         code, out, _ = run(capsys, "dem", "gen=cycle:30", "--max-n", "30")
         assert code == 0 and json.loads(out)["dem"] == 2

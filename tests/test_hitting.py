@@ -2,12 +2,15 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from demkit import hitting
 from demkit.errors import EnumerationCapExceededError
 from demkit.hitting import (
     _lexicographic_walk,
+    _Search,
+    _solve,
     disjoint_lower_bound,
     enumerate_minimum_sets,
     exists_hitting_set,
@@ -161,6 +164,33 @@ def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
 
 
 @settings(max_examples=300, deadline=None)
+@given(
+    partitioned_columns(),
+    st.none() | st.integers(0, 11),
+    st.integers(-1, 10),
+    st.booleans(),
+)
+# splits into components below the root, where the set joins both
+@example(case=(4, masks({1}, {0, 3}, {2}, {0, 1, 2}, {3}), ()), cap=None, target=-1,
+         with_parts=False)
+def test_solve_returns_a_set_of_the_size_it_reports(case, cap, target, with_parts):
+    # unreduced columns, as the witness walk passes them
+    n, cols, parts = case
+    assume(cap is None or cap > target)  # as exists_hitting_set sets them
+    size = len(_first_hitting_set(cols, n))
+    found, hit = _solve(cols, _Search(), cap, target, parts if with_parts else ())
+    if hit is None:  # nothing smaller than the cap
+        assert found == cap <= size
+        return
+    assert hit.bit_count() == found
+    assert all(c & hit for c in cols)
+    if size <= target:
+        assert size <= found <= target
+    else:
+        assert found == size
+
+
+@settings(max_examples=300, deadline=None)
 @given(column_sets())
 def test_disjoint_bound_needs_no_reduction(case):
     # dem_number gates the factorisation on this bound of the raw columns
@@ -183,6 +213,34 @@ def test_walk_restricts_blocks_as_it_restricts_columns():
     parts = ((0b0011, 0b1100),)
     assert next(_lexicographic_walk(cols, 4, 2, feasible, parts)) == (0, 2)
     assert seen == [([0b110], [[0b001, 0b110]]), ([], [[0b1]])]
+
+
+def test_walk_descends_into_a_completion_untested():
+    seen = []
+
+    def feasible(cols, budget, parts):
+        seen.append((cols, budget))
+        return 0b010  # later vertex 1: vertex 2 once shifted back
+
+    cols = masks({0, 1}, {2, 3})
+    assert next(_lexicographic_walk(cols, 4, 2, feasible)) == (0, 2)
+    assert seen == [([0b110], 1)]
+
+
+def test_witness_solves_once_when_completions_carry_it(monkeypatch):
+    calls = []
+    solve = hitting._solve
+
+    def counting(cols, *args, **kwargs):
+        calls.append(cols)
+        return solve(cols, *args, **kwargs)
+
+    monkeypatch.setattr(hitting, "_solve", counting)
+    cols = masks({0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5})
+    assert lexicographically_smallest(cols, 6, 3) == (0, 2, 4)
+    # vertex 0 is solved and its completion carries the walk through 2 and
+    # 4; the disjoint bound rejects 1 and 3
+    assert calls == [masks({0, 1}, {1, 2}, {2, 3}, {3, 4})]
 
 
 def _greedy_by_rows(cols, n):

@@ -137,6 +137,22 @@ class TestOracleEquivalence:
             monitor_matrix(g)
             assert sorted(calls) == list(range(g.n))
 
+    @pytest.mark.parametrize("spec", ["path:24", "cycle:24", "book:22"])
+    def test_no_factorisation_distances_on_prime_graphs(self, monkeypatch, spec):
+        # every edge of these lies on no chordless square, so dem_number
+        # asks for the factor layers without computing one more distance row
+        g = build(parse_expr(spec))
+        calls = []
+        bfs = Graph.distances_from
+
+        def counting(self, source, removed=None):
+            calls.append(source)
+            return bfs(self, source, removed)
+
+        monkeypatch.setattr(Graph, "distances_from", counting)
+        dem_number(g)
+        assert len(calls) == g.n
+
     def test_solver_matches_exhaustive_search(self):
         for seed in range(12):
             g = random_connected(5 + seed % 3, 1, 2, 3000 + seed)
@@ -219,6 +235,30 @@ class TestDemNumber:
 
         result = dem_number(Graph(1, []), enumerate_all=True)
         assert result.value == 0 and result.all_minimum_sets == ((),)
+        with pytest.raises(EnumerationCapExceededError):
+            dem_number(Graph(1, []), enumerate_all=True, enumeration_cap=0)
+
+    # search nodes per graph: a change that moves the search shows here
+    PINNED_NODES = {
+        "cartesian(path:4|cycle:5)": 1,
+        "cartesian(complete:4|complete:6)": 1,
+        "cartesian(cycle:4|cycle:6)": 1,
+        "hypercube:4": 1,
+        "cartesian(complete:5|complete:6)": 1,
+        "cartesian(cycle:3|cycle:11)": 1,
+        "cartesian(path:4|cycle:8)": 1,
+        "hypercube:5": 1,
+        "cartesian(book:2|book:4)": 56,
+        "cartesian(cycle:5|cycle:6)": 56,
+        "cartesian(cycle:6|cycle:6)": 126,
+        "cartesian(book:2|book:2)": 66,
+    }
+
+    @pytest.mark.parametrize("spec", list(PINNED_NODES))
+    def test_nodes_explored_is_pinned(self, spec):
+        g = build(parse_expr(spec))
+        result = dem_number(g, max_n=36 if g.n > 24 else 24)
+        assert result.nodes_explored == self.PINNED_NODES[spec]
 
     # (count, sha256 of repr(all_minimum_sets)): any change in the listed
     # sets or in their order shows here, where no report prints them all
@@ -412,6 +452,23 @@ def test_partitions_change_no_answer_on_products(a, b):
     if a.n > 1 and b.n > 1:
         assert len(factor_layers(g)) >= 2
     _assert_same_answer(g)
+
+
+@pytest.mark.parametrize(
+    "spec, max_n",
+    [
+        ("cartesian(path:4|cycle:8)", 32),
+        ("hypercube:5", 32),
+        ("cartesian(cycle:4|cycle:6)", 24),
+    ],
+)
+def test_witness_with_layers_is_the_partition_free_walks(spec, max_n):
+    g = build(parse_expr(spec))
+    result = dem_number(g, max_n=max_n)
+    cols = monitor_matrix(g, max_n=max_n).cols
+    assert result.witness == lexicographically_smallest(cols, g.n, result.value)
+    columns = oracles.monitor_columns(g.n, list(g.edges))
+    assert all(col & set(result.witness) for col in columns)
 
 
 def test_partitions_change_no_answer_on_the_oracle_corpus():
