@@ -148,8 +148,8 @@ def _branching(cols: Sequence[int]) -> list[int]:
 
 class _Search:
     """What one solve shares across its recursion: the nodes explored and
-    the memo of block values for :func:`partition_bound`, which the
-    searches of one witness walk also share."""
+    the memo of block values for :func:`partition_bound`. A witness walk
+    keeps one for all its solves."""
 
     __slots__ = ("nodes", "memo")
 
