@@ -171,8 +171,12 @@ def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
     st.booleans(),
 )
 # splits into components below the root, where the set joins both
-@example(case=(4, masks({1}, {0, 3}, {2}, {0, 1, 2}, {3}), ()), cap=None, target=-1,
-         with_parts=False)
+@example(
+    case=(4, masks({1}, {0, 3}, {2}, {0, 1, 2}, {3}), ()),
+    cap=None,
+    target=-1,
+    with_parts=False,
+)
 def test_solve_returns_a_set_of_the_size_it_reports(case, cap, target, with_parts):
     # unreduced columns, as the witness walk passes them
     n, cols, parts = case

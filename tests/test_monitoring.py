@@ -139,8 +139,8 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("spec", ["path:24", "cycle:24", "book:22"])
     def test_no_factorisation_distances_on_prime_graphs(self, monkeypatch, spec):
-        # every edge of these lies on no chordless square, so dem_number
-        # asks for the factor layers without computing one more distance row
+        # each has an edge on no chordless square, so dem_number asks for
+        # the factor layers without computing one more distance row
         g = build(parse_expr(spec))
         calls = []
         bfs = Graph.distances_from
