@@ -17,13 +17,13 @@ size, it stops at the first solution that small: ``exists_hitting_set``.
 under the feasibility test each operation passes it. The enumeration passes
 the disjoint-column bound, cheaper when every set is listed anyway. The
 witness passes an exact test and takes the first set without backtracking.
-One search serves its whole walk: a candidate vertex is rejected by the
-disjoint-column bound, then by the partition bound, else ``_solve`` decides
-it on the columns left unhit, shifted past the candidate and deduplicated.
-They are not reduced: the reduction is quadratic, ``_solve`` is exact on any
-columns, and sorted by value they give the reduced columns' disjoint bound.
-The set a solve finds is kept as a completion: its lowest vertex is accepted
-next with no test, so most feasible candidates cost nothing.
+One search serves its whole walk. ``_feasible``, which also answers
+``exists_hitting_set``, takes the columns left unhit past a candidate vertex,
+deduplicated but not reduced (the reduction is quadratic, ``_solve`` is exact
+on any columns, and sorted they give the reduced columns' disjoint bound). It
+rejects by the disjoint-column bound, then by the partition bound, else
+``_solve`` decides. The set a solve finds is kept as a completion: its lowest
+vertex is accepted next untested, so most feasible candidates cost nothing.
 
 Where the disjoint-column bound fails to prune, ``_solve`` can also try a
 partition bound (``partition_bound``). Take a partition of the vertices into
@@ -45,6 +45,7 @@ solved once; the searches of one witness walk share one memo.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -226,10 +227,9 @@ def _solve(
     if best <= target:
         return best, best_set
 
-    def rec(uncovered: list[int], chosen: int) -> None:
+    def rec(uncovered: list[int], chosen: int, size: int) -> None:
         nonlocal best, best_set
         search.nodes += 1
-        size = chosen.bit_count()
         if not uncovered:
             if size < best:
                 best, best_set = size, chosen
@@ -259,12 +259,12 @@ def _solve(
                     break
                 rest.append(c2)
             if not dead:
-                rec(rest, chosen | 1 << v)
+                rec(rest, chosen | 1 << v, size + 1)
                 if best <= target:
                     return
             banned |= 1 << v
 
-    rec(cols, 0)
+    rec(cols, 0, 0)
     return best, best_set
 
 
@@ -283,6 +283,21 @@ def minimum_hitting_set(
     return value, search.nodes
 
 
+def _feasible(
+    cols: Sequence[int], budget: int, parts: Partitions, search: _Search
+) -> bool | int:
+    """False if no hitting set of size <= budget exists, else the set found
+    (a vertex mask), or True if that set is empty. The bounds reject first,
+    then ``_solve`` searches the deduplicated, unreduced columns."""
+    cols = sorted(set(cols))
+    if disjoint_lower_bound(cols) > budget:
+        return False
+    if parts and partition_bound(cols, parts, search.memo) > budget:
+        return False
+    found, hit = _solve(cols, search, budget + 1, budget, parts)
+    return found <= budget and (hit or True)
+
+
 def exists_hitting_set(
     columns: Sequence[int],
     budget: int,
@@ -293,9 +308,7 @@ def exists_hitting_set(
     block values (see :func:`partition_bound`) to share between searches."""
     if budget < 0 or any(c == 0 for c in columns):
         return False
-    cols = reduce_columns(columns)
-    found, _ = _solve(cols, _Search(memo), cap=budget + 1, target=budget, parts=parts)
-    return found <= budget
+    return bool(_feasible(columns, budget, parts, _Search(memo)))
 
 
 def _lexicographic_walk(
@@ -357,17 +370,7 @@ def lexicographically_smallest(
 ) -> tuple[int, ...]:
     """The lexicographically smallest hitting set of exactly the given
     (minimum) size, as a sorted tuple of vertex ids."""
-    search = _Search()  # one memo of block values for the whole walk
-
-    def feasible(cols: list[int], budget: int, later_parts: Partitions) -> bool | int:
-        cols = sorted(set(cols))
-        if disjoint_lower_bound(cols) > budget:
-            return False
-        if later_parts and partition_bound(cols, later_parts, search.memo) > budget:
-            return False
-        found, hit = _solve(cols, search, budget + 1, budget, later_parts)
-        return found <= budget and (hit or True)
-
+    feasible = partial(_feasible, search=_Search())  # one memo for the walk
     for first in _lexicographic_walk(columns, n, size, feasible, parts):
         return first
     raise ValueError("no hitting set of the requested size exists")
