@@ -13,6 +13,15 @@ whenever the uncovered columns fall apart. Sibling branches exclude already
 tried vertices, so no partial solution is explored twice. Given a target
 size, it stops at the first solution that small: ``exists_hitting_set``.
 
+Its two per-call kernels work on whole masks. ``greedy_hitting``, the upper
+bound of every solve, keeps each vertex's count of remaining columns
+bit-sliced: ``digits[j]`` is the mask of the vertices whose count has bit j
+set. A column enters by a ripple-carry of its mask into the digits and
+leaves by a ripple-borrow, and the vertices of largest count are the
+candidate mask narrowed from the top digit down, so no column is decoded
+into vertices. ``_components`` grows the first column's support until no
+column joins it, and runs its merge loop only when the columns really split.
+
 ``_lexicographic_walk`` is the one loop that lists minimum sets in order,
 under the feasibility test each operation passes it. The enumeration passes
 the disjoint-column bound, cheaper when every set is listed anyway. The
@@ -75,7 +84,26 @@ def reduce_columns(columns: Iterable[int]) -> list[int]:
 
 
 def _components(cols: Sequence[int]) -> list[list[int]]:
-    """Group columns whose vertex supports overlap (transitively)."""
+    """Group columns whose vertex supports overlap (transitively).
+
+    The support of the first column grows until no column joins it; when
+    every column has joined, they form one group. Only a real split pays for
+    the merge loop, whose groups and member order the callers rely on.
+    """
+    if not cols:
+        return []
+    support = cols[0]
+    while True:
+        grown = support
+        joined = 0
+        for c in cols:
+            if c & support:
+                support |= c
+                joined += 1
+        if joined == len(cols):
+            return [list(cols)]
+        if support == grown:
+            break
     comps: list[tuple[int, list[int]]] = []  # (support, members)
     for c in cols:
         merged_support = c
@@ -97,22 +125,47 @@ def greedy_hitting(cols: Sequence[int]) -> list[int]:
     """Repeatedly take the vertex hitting the most remaining columns
     (ties: lowest id); valid, not necessarily minimum.
 
-    Each vertex gets one mask over the column positions it hits, so scoring
-    a vertex is one popcount of that mask against the uncovered positions.
+    The counts are bit-sliced: ``digits[j]`` is the vertex mask of bit j of
+    each vertex's count of remaining columns, so adding a column is a
+    ripple-carry of its mask into the digits and dropping a hit column a
+    ripple-borrow. The vertices of largest count are found by narrowing a
+    candidate mask from the top digit down; the lowest of them is taken.
     Raises ``ValueError`` on an empty column, which no vertex hits.
     """
     if 0 in cols:
         raise ValueError("unhittable empty column")
-    hits: dict[int, int] = {}  # only the vertices some column contains
-    for i, c in enumerate(cols):
-        for v in bits(c):
-            hits[v] = hits.get(v, 0) | 1 << i
-    uncovered = (1 << len(cols)) - 1
+    digits: list[int] = []
+    for c in cols:
+        j = 0
+        for d in digits:
+            digits[j] = d ^ c
+            c &= d
+            if not c:
+                break
+            j += 1
+        else:
+            digits.append(c)
+    remaining = cols
     chosen: list[int] = []
-    while uncovered:
-        v = max(hits, key=lambda x: ((hits[x] & uncovered).bit_count(), -x))
-        chosen.append(v)
-        uncovered &= ~hits[v]
+    while remaining:
+        best = -1
+        for d in reversed(digits):
+            if best & d:
+                best &= d
+        low = best & -best  # the lowest id among the largest counts
+        chosen.append(low.bit_length() - 1)
+        kept = []
+        for c in remaining:
+            if c & low:
+                j = 0
+                while c:
+                    d = digits[j]
+                    digits[j] = d ^ c
+                    c &= ~d
+                    j += 1
+            else:
+                kept.append(c)
+        remaining = kept
     return sorted(chosen)
 
 

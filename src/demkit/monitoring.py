@@ -26,7 +26,7 @@ independent oracle for the parent-count rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import hitting, products
 from .errors import CapExceededError, GraphError
@@ -95,9 +95,9 @@ def _row(g: Graph, x: int, candidates: Iterable[int]) -> int:
     return row
 
 
-def _parent_row(g: Graph, x: int) -> int:
-    """Row of probe x by the parent-count rule: one BFS and two edge passes."""
-    dist = g.distances_from(x)
+def _parent_row(g: Graph, dist: Sequence[int]) -> int:
+    """Row of the probe with BFS distances ``dist`` by the parent-count rule:
+    two edge passes."""
     parents = [0] * g.n
     for u, v in g.edges:
         if dist[u] != dist[v]:
@@ -113,7 +113,7 @@ def monitored_edges(g: Graph, x: int) -> set[int]:
     """Edge ids monitored by vertex x (parent-count rule, one BFS)."""
     if not 0 <= x < g.n:
         raise GraphError(f"vertex {x} out of range")
-    return set(hitting.bits(_parent_row(g, x)))
+    return set(hitting.bits(_parent_row(g, g.distances_from(x))))
 
 
 def monitored_edges_naive(g: Graph, x: int) -> set[int]:
@@ -132,10 +132,12 @@ def _matrix(g: Graph, rows: list[int]) -> MonitorMatrix:
 
 
 def monitor_matrix(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> MonitorMatrix:
-    """Complete V x E monitoring incidence, one BFS per probe."""
+    """Complete V x E monitoring incidence from the rows of
+    ``g.distance_matrix``: one BFS per probe, shared with every other reader
+    of the graph's distances (``products.factor_layers``)."""
     if g.n > max_n:
         raise CapExceededError("monitor matrix", g.n, max_n)
-    return _matrix(g, [_parent_row(g, x) for x in range(g.n)])
+    return _matrix(g, [_parent_row(g, dist) for dist in g.distance_matrix])
 
 
 def monitor_matrix_naive(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> MonitorMatrix:

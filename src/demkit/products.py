@@ -190,7 +190,7 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
         return ()
     edges = g.edges
     classes = list(range(len(edges)))
-    dist = [g.distances_from(v) for v in range(g.n)]
+    dist = g.distance_matrix  # the rows monitor_matrix reads too
     for i, (x, y) in enumerate(edges):  # Theta
         dx, dy = dist[x], dist[y]
         for j in range(i + 1, len(edges)):

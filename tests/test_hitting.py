@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from demkit import hitting
 from demkit.errors import EnumerationCapExceededError
 from demkit.hitting import (
+    _components,
     _lexicographic_walk,
     _Search,
     _solve,
@@ -285,3 +286,66 @@ def test_greedy_matches_both_former_loops(case):
     assert greedy_hitting(cols) == _greedy_by_rows(cols, n) == _greedy_by_counts(cols)
     with pytest.raises(ValueError):
         greedy_hitting(cols + [0])
+
+
+@st.composite
+def wide_column_sets(draw):
+    """Columns over up to 100 vertices, some ids past 64, where a hub vertex
+    lies in at least 32 columns: counts need six or more digit planes. Small
+    columns make ties between counts common."""
+    n = draw(st.integers(65, 100))
+    small = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+    cols = masks(*draw(st.lists(small, min_size=32, max_size=60)))
+    hub = draw(st.integers(0, n - 1))
+    hubbed = draw(st.integers(32, len(cols)))
+    cols = [c | 1 << hub for c in cols[:hubbed]] + cols[hubbed:]
+    cols += draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8))  # dense
+    cols.append(1 << draw(st.integers(64, n - 1)))
+    return n, draw(st.permutations(cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_column_sets())
+def test_greedy_matches_both_former_loops_on_wide_counts(case):
+    n, cols = case
+    count = Counter(v for c in cols for v in range(n) if (c >> v) & 1)
+    assert max(count.values()) >= 32 and max(count) >= 64
+    assert greedy_hitting(cols) == _greedy_by_rows(cols, n) == _greedy_by_counts(cols)
+
+
+def _components_by_merging(cols):
+    """The merge loop of ``_components``, alone: each column merges every
+    group it meets, groups ordered by their lowest vertex."""
+    comps = []
+    for c in cols:
+        merged_support, merged_members, rest = c, [c], []
+        for support, members in comps:
+            if support & merged_support:
+                merged_support |= support
+                merged_members += members
+            else:
+                rest.append((support, members))
+        rest.append((merged_support, merged_members))
+        comps = rest
+    comps.sort(key=lambda item: item[0] & -item[0])
+    return [members for _, members in comps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 70).flatmap(
+        lambda n: st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=3).map(
+                lambda vs: sum(1 << v for v in vs)
+            ),
+            max_size=14,
+        )
+    )
+)
+def test_components_match_the_merge_loop(cols):
+    expected = _components_by_merging(cols)
+    got = _components(cols)
+    if len(expected) > 1:
+        assert got == expected  # the groups and their member order
+    else:
+        assert [sorted(group) for group in got] == [sorted(g) for g in expected]

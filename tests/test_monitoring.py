@@ -153,6 +153,28 @@ class TestOracleEquivalence:
         dem_number(g)
         assert len(calls) == g.n
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["cartesian(cycle:4|cycle:6)", "hypercube:4", "cartesian(complete:4|complete:6)"],
+    )
+    def test_one_set_of_distance_rows_on_products(self, monkeypatch, spec):
+        # each passes the square test, so factor_layers reads distances too:
+        # the rows monitor_matrix has already computed
+        g = build(parse_expr(spec))
+        calls = []
+        bfs = Graph.distances_from
+
+        def counting(self, source, removed=None):
+            calls.append(source)
+            return bfs(self, source, removed)
+
+        monkeypatch.setattr(Graph, "distances_from", counting)
+        assert factor_layers(g)
+        assert sorted(calls) == list(range(g.n))
+        calls.clear()
+        dem_number(build(parse_expr(spec)))
+        assert sorted(calls) == list(range(g.n))
+
     def test_solver_matches_exhaustive_search(self):
         for seed in range(12):
             g = random_connected(5 + seed % 3, 1, 2, 3000 + seed)
@@ -252,6 +274,14 @@ class TestDemNumber:
         "cartesian(cycle:5|cycle:6)": 56,
         "cartesian(cycle:6|cycle:6)": 126,
         "cartesian(book:2|book:2)": 66,
+        # graphs on which the search really branches
+        "join(path:6|cycle:8)": 13,
+        "corona(path:4|complete:4)": 20,
+        "cycle:24": 23,
+        "cluster(cycle:6|cycle:4)": 6,
+        "book:22": 3,
+        "randconn:24:1/2:seed=3": 40,  # conftest.random_connected(24, 1, 2, 3)
+        "randconn:22:1/4:seed=4": 125,
     }
 
     @pytest.mark.parametrize("spec", list(PINNED_NODES))
