@@ -44,6 +44,7 @@ from .monitoring import (
     DemResult,
     MonitorMatrix,
     dem_number,
+    dem_value,
     greedy_dem,
     is_dem_set,
     monitor_matrix,
@@ -85,6 +86,7 @@ __all__ = [
     "compare_graph",
     "corona",
     "dem_number",
+    "dem_value",
     "edge_metric_dimension",
     "format_edge_list",
     "generate",

@@ -7,12 +7,14 @@ triangle is handled consistently whether it was spelled ``cycle:3`` or
 ``complete:3``. Instances larger than the solver cap are reported as skipped,
 never silently passed.
 
-Every exact result the harness needs (instance and factor values, the
-enumerations and the sharpness products) comes from one memo, ``_exact``,
-keyed by the built graph, the cap and whether all minimum sets are listed.
-The vertex covers the rules use come from a second memo, ``_cover_of``,
-keyed the same way by the built graph. An instance met under several
-spellings, or in several suites, is therefore solved once per process.
+The harness compares numbers and prints no witness, so every exact value
+it needs (instances, factors and the sharpness products) comes from the
+value memo ``_value``, backed by ``dem_value``, which skips the witness walk.
+The minimum-set enumerations of the sharpness checks come from a second
+memo, ``_exact``, and the vertex covers the rules use from a third,
+``_cover_of``. Each is keyed by the built graph and the cap, so an instance
+met under several spellings, or in several suites, is solved once per
+process by each route.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .cover import vertex_cover_number
 from .errors import CapExceededError
 from .exprs import FamilySpec, GraphExpr, ProductSpec, build, canonical, order_of, parse_expr
 from .graph import Graph
-from .monitoring import DEFAULT_MAX_N, DemResult, dem_number
+from .monitoring import DEFAULT_MAX_N, DemResult, dem_number, dem_value
 
 SUITES = ("formulas", "bounds", "sharpness", "all")
 
@@ -105,12 +107,17 @@ def _built(expr: GraphExpr) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _exact(g: Graph, max_n: int, enumerate_all: bool = False) -> DemResult:
-    return dem_number(g, enumerate_all, max_n=max_n)
+def _value(g: Graph, max_n: int) -> int:
+    return dem_value(g, max_n=max_n)
+
+
+@lru_cache(maxsize=None)
+def _exact(g: Graph, max_n: int) -> DemResult:
+    return dem_number(g, True, max_n=max_n)
 
 
 def _dem_of(expr: GraphExpr, max_n: int) -> int:
-    return _exact(_built(expr), max_n).value
+    return _value(_built(expr), max_n)
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +314,7 @@ def verify_instance(
 
 
 def _unique_minimum(g: Graph, max_n: int) -> tuple[int, bool]:
-    result = _exact(g, max_n, True)
+    result = _exact(g, max_n)
     return result.value, len(result.all_minimum_sets) == 1
 
 
@@ -328,7 +335,7 @@ def check_upper_equality_condition(
     try:
         d1, unique_g = _unique_minimum(g, max_n)
         d2, unique_h = _unique_minimum(h, max_n)
-        dp = _exact(products.cartesian(g, h)[0], max_n).value
+        dp = _value(products.cartesian(g, h)[0], max_n)
     except CapExceededError as exc:
         return VerificationRecord(name, None, None, "skipped", rule, str(exc))
     bound = g.n * d2 + h.n * d1 - d1 * d2
@@ -397,9 +404,9 @@ def check_lower_equality_condition(
     rule = "lower sharpness: equality iff covering and disjointness conditions"
     name = f"sharp-lower({name_g}|{name_h})"
     try:
-        rg = _exact(g, max_n, True)
-        rh = _exact(h, max_n, True)
-        dp = _exact(products.cartesian(g, h)[0], max_n).value
+        rg = _exact(g, max_n)
+        rh = _exact(h, max_n)
+        dp = _value(products.cartesian(g, h)[0], max_n)
     except CapExceededError as exc:
         return VerificationRecord(name, None, None, "skipped", rule, str(exc))
     hypotheses = g.n <= h.n and rg.value >= rh.value

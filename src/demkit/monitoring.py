@@ -193,6 +193,30 @@ class DemResult:
         return doc
 
 
+def _solve(
+    g: Graph, max_n: int
+) -> tuple[MonitorMatrix, tuple[int, ...], tuple, int, int]:
+    """The value stage shared by :func:`dem_value` and :func:`dem_number`:
+    the monitor matrix, the greedy seed, the factor layers, and the minimum
+    value with the nodes its branch and bound explored."""
+    if g.n > max_n:
+        raise CapExceededError("monitoring solver", g.n, max_n)
+    matrix = monitor_matrix(g, max_n=max_n)
+    greedy = greedy_dem(g, matrix)
+    parts = products.factor_layers(g)
+    value, nodes = hitting.minimum_hitting_set(
+        matrix.cols, upper=len(greedy), parts=parts
+    )
+    return matrix, greedy, parts, value, nodes
+
+
+def dem_value(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> int:
+    """Exact monitoring number alone: the branch and bound of
+    :func:`dem_number` without the witness walk, for callers that compare
+    values only."""
+    return _solve(g, max_n)[3]
+
+
 def dem_number(
     g: Graph,
     enumerate_all: bool = False,
@@ -207,15 +231,9 @@ def dem_number(
     over the hitting-set instance, seeded with the greedy monitoring set. The
     search and the witness also prune with the partition bound over the
     layers of the graph's Cartesian prime factors (``products.factor_layers``).
+    The value comes from the same stage as :func:`dem_value`.
     """
-    if g.n > max_n:
-        raise CapExceededError("monitoring solver", g.n, max_n)
-    matrix = monitor_matrix(g, max_n=max_n)
-    greedy = greedy_dem(g, matrix)
-    parts = products.factor_layers(g)
-    value, nodes = hitting.minimum_hitting_set(
-        matrix.cols, upper=len(greedy), parts=parts
-    )
+    matrix, greedy, parts, value, nodes = _solve(g, max_n)
     if enumerate_all:
         sets = hitting.enumerate_minimum_sets(
             matrix.cols, g.n, value, enumeration_cap

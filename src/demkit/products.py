@@ -169,8 +169,11 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _union(parent: list[int], x: int, y: int) -> None:
-    parent[_find(parent, x)] = _find(parent, y)
+def _union(parent: list[int], x: int, y: int) -> bool:
+    """Merge the classes of x and y; True iff they were two classes."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    parent[rx] = ry
+    return rx != ry
 
 
 def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -182,7 +185,8 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     xy ~ uv iff d(x,u) + d(y,v) != d(x,v) + d(y,u), and tau, two edges at
     one vertex that lie on no chordless square together. Each class gives one
     partition, its blocks the connected components of the class's edges:
-    the copies of that factor. Returns ``()`` for a prime graph, and for a
+    the copies of that factor. Returns ``()`` for a prime graph (as soon as
+    Theta alone leaves one class, since tau only merges classes), and for a
     graph with an edge on no chordless square without computing a distance.
     """
     adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
@@ -190,13 +194,16 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
         return ()
     edges = g.edges
     classes = list(range(len(edges)))
+    left = len(edges)  # classes in the union-find
     dist = g.distance_matrix  # the rows monitor_matrix reads too
     for i, (x, y) in enumerate(edges):  # Theta
         dx, dy = dist[x], dist[y]
         for j in range(i + 1, len(edges)):
             u, v = edges[j]
-            if dx[u] + dy[v] != dx[v] + dy[u]:
-                _union(classes, i, j)
+            if dx[u] + dy[v] != dx[v] + dy[u] and _union(classes, i, j):
+                left -= 1
+                if left == 1:
+                    return ()
     for x in range(g.n):
         around = g.neighbors(x)
         for k, y in enumerate(around):

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from demkit.exprs import MAX_NESTING
 
 import oracles
 from conftest import book
+
+REFS = Path(__file__).resolve().parent.parent / "benchmarks" / "refs"
 
 
 def run(capsys, *argv):
@@ -173,6 +176,20 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "--suite", "bounds", "--seed", "7")
         _, second, _ = run(capsys, "verify", "--suite", "bounds", "--seed", "7")
         assert first == second
+
+    @pytest.mark.parametrize("seed", [0, 41])
+    def test_all_suite_matches_the_committed_reference(self, capsys, seed):
+        # the report rebuilt from the benchmark's reference rows: those every
+        # seed shares plus the ones drawn from this seed, sorted by instance
+        header, *rows = (REFS / "verify_fixed.csv").read_text().splitlines(keepends=True)
+        for line in (REFS / "verify_seeded.tsv").read_text().splitlines(keepends=True):
+            row_seed, row = line.split("\t", 1)
+            if int(row_seed) == seed:
+                rows.append(row)
+        rows.sort(key=lambda row: row.split(",", 1)[0])
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", str(seed))
+        assert code == 1
+        assert out == header + "".join(rows)
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "sharpness", "--format", "json")

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -11,6 +12,7 @@ from demkit import (
     cluster,
     dem_number,
     formulas,
+    hitting,
     join,
     monitor_matrix,
     monitored_pairs,
@@ -180,27 +182,53 @@ class TestSuites:
 
     def test_all_suites_solve_each_graph_once(self, monkeypatch):
         solved = Counter()
+        valued = Counter()
         covered = Counter()
         solve = formulas.dem_number
+        value = formulas.dem_value
         cover = formulas.vertex_cover_number
 
         def counting(g, enumerate_all=False, **kwargs):
             solved[(g, enumerate_all)] += 1
             return solve(g, enumerate_all, **kwargs)
 
+        def counting_value(g, **kwargs):
+            valued[g] += 1
+            return value(g, **kwargs)
+
         def counting_cover(g, **kwargs):
             covered[g] += 1
             return cover(g, **kwargs)
 
         monkeypatch.setattr(formulas, "dem_number", counting)
+        monkeypatch.setattr(formulas, "dem_value", counting_value)
         monkeypatch.setattr(formulas, "vertex_cover_number", counting_cover)
         formulas._exact.cache_clear()
+        formulas._value.cache_clear()
         formulas._cover_of.cache_clear()
         run_suite("all")
+        # dem_number only enumerates; every value comes from dem_value
+        assert solved and all(e for _, e in solved)
         repeated = {(g.n, g.edges, e): c for (g, e), c in solved.items() if c > 1}
-        assert solved and not repeated
+        assert not repeated
+        repeated = {(g.n, g.edges): c for g, c in valued.items() if c > 1}
+        assert valued and not repeated
         repeated = {(g.n, g.edges): c for g, c in covered.items() if c > 1}
         assert covered and not repeated
+
+    def test_suites_never_walk_for_a_witness(self, monkeypatch):
+        def fields(records):
+            return [replace(r, runtime=0.0) for r in records]
+
+        expected = fields(run_suite("all"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no verify report prints a witness")
+
+        monkeypatch.setattr(hitting, "lexicographically_smallest", refuse)
+        formulas._exact.cache_clear()
+        formulas._value.cache_clear()
+        assert fields(run_suite("all")) == expected
 
 
 class TestApexBound:

@@ -11,6 +11,7 @@ from demkit import (
     Graph,
     build,
     dem_number,
+    dem_value,
     greedy_dem,
     is_dem_set,
     join,
@@ -176,7 +177,8 @@ class TestOracleEquivalence:
     def test_solver_matches_exhaustive_search(self):
         for seed in range(12):
             g = random_connected(5 + seed % 3, 1, 2, 3000 + seed)
-            assert dem_number(g).value == oracles.brute_dem(g.n, list(g.edges))
+            value = oracles.brute_dem(g.n, list(g.edges))
+            assert dem_number(g).value == dem_value(g) == value
 
 
 class TestIsDemSet:
@@ -246,9 +248,12 @@ class TestDemNumber:
             dem_number(complete(5), enumerate_all=True, enumeration_cap=3)
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as by_number:
             dem_number(cycle(25))
-        dem_number(cycle(25), max_n=25)
+        with pytest.raises(CapExceededError) as by_value:
+            dem_value(cycle(25))
+        assert str(by_value.value) == str(by_number.value)
+        assert dem_number(cycle(25), max_n=25).value == dem_value(cycle(25), max_n=25)
 
     def test_single_vertex(self):
         from demkit import Graph
@@ -285,8 +290,10 @@ class TestDemNumber:
     @pytest.mark.parametrize("spec", list(PINNED_NODES))
     def test_nodes_explored_is_pinned(self, spec):
         g = build(parse_expr(spec))
-        result = dem_number(g, max_n=36 if g.n > 24 else 24)
+        max_n = 36 if g.n > 24 else 24
+        result = dem_number(g, max_n=max_n)
         assert result.nodes_explored == self.PINNED_NODES[spec]
+        assert dem_value(g, max_n=max_n) == result.value
 
     # (count, sha256 of repr(all_minimum_sets)): any change in the listed
     # sets or in their order shows here, where no report prints them all
@@ -440,6 +447,13 @@ def test_value_and_witness_match_the_oracles(g):
         if all(col & set(subset) for col in columns)
     )
     assert result.witness == first
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 3), st.integers(0, 10_000))
+def test_value_stage_is_dem_numbers_value(n, num, seed):
+    g = random_connected(n, num, 4, seed)
+    assert dem_value(g) == dem_number(g).value
 
 
 def _without_partitions(g):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demkit import Graph, GraphError, build, cartesian, cluster, corona, join, parse_expr
+from demkit import products
 from demkit.products import factor_layers
 
 from conftest import book, complete, cycle, path, random_connected, random_tree
@@ -212,6 +213,26 @@ class TestFactorLayers:
         graphs += [random_connected(24, 1, 2, seed) for seed in range(3)]
         for g in graphs:
             assert factor_layers(g) == (), g
+
+    @pytest.mark.parametrize("spec", ["bipartite:4:8", "bipartite:6:6"])
+    def test_prime_graphs_stop_once_one_class_is_left(self, monkeypatch, spec):
+        g = build(parse_expr(spec))
+        dist = g.distance_matrix
+        related = sum(  # Theta pairs, two _find calls each in a full pass
+            dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
+            for i, (x, y) in enumerate(g.edges)
+            for u, v in g.edges[i + 1:]
+        )
+        calls = []
+        find = products._find
+
+        def counting(parent, x):
+            calls.append(x)
+            return find(parent, x)
+
+        monkeypatch.setattr(products, "_find", counting)
+        assert factor_layers(g) == ()
+        assert 0 < len(calls) < 2 * related
 
     def test_square_test_comes_before_any_distance(self, monkeypatch):
         calls = []
