@@ -32,14 +32,7 @@ from .formulas import (
     run_suite,
     verify_instance,
 )
-from .graph import (
-    INFINITE,
-    Graph,
-    all_pairs_distances,
-    base_graph,
-    format_edge_list,
-    parse_edge_list,
-)
+from .graph import INFINITE, Graph, format_edge_list, parse_edge_list
 from .monitoring import (
     DemResult,
     MonitorMatrix,
@@ -75,8 +68,6 @@ __all__ = [
     "ProductSpec",
     "ProductVertexMap",
     "VerificationRecord",
-    "all_pairs_distances",
-    "base_graph",
     "build",
     "canonical",
     "cartesian",

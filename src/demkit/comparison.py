@@ -49,7 +49,7 @@ def metric_dimension(
         sum(1 << x for x in range(g.n) if d[u][x] != d[v][x])
         for u, v in _vertex_pairs(g)
     ]
-    return hitting.lexicographic_minimum(columns, g.n)
+    return hitting.lexicographic_minimum(columns)
 
 
 def _edge_distances(g: Graph) -> list[list[int]]:
@@ -79,7 +79,7 @@ def edge_metric_dimension(
         sum(1 << x for x in range(g.n) if row1[x] != row2[x])
         for row1, row2 in combinations(ed, 2)
     ]
-    return hitting.lexicographic_minimum(columns, g.n)
+    return hitting.lexicographic_minimum(columns)
 
 
 def _strongly_resolves(d, u: int, v: int, x: int) -> bool:
@@ -106,12 +106,13 @@ def strong_metric_dimension(
         sum(1 << x for x in range(g.n) if _strongly_resolves(d, u, v, x))
         for u, v in _vertex_pairs(g)
     ]
-    return hitting.lexicographic_minimum(columns, g.n)
+    return hitting.lexicographic_minimum(columns)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """All four distance parameters of one graph, with verified witnesses."""
+    """All four distance parameters of one graph, each with the
+    lexicographically smallest minimum set the solver found."""
 
     name: str
     n: int

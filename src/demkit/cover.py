@@ -1,8 +1,9 @@
 """Exact minimum vertex cover.
 
 Vertex cover is the hitting-set instance whose columns are the edge endpoint
-pairs; the shared branch-and-bound engine branches on an uncovered edge
-(include one endpoint or the other) with a greedy-matching lower bound.
+pairs, solved by the shared engine of :mod:`demkit.hitting` like every other
+exact value: its branch and bound for the size, its lexicographic walk for
+the witness.
 """
 
 from __future__ import annotations
@@ -39,4 +40,4 @@ def vertex_cover_number(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> CoverResult:
     if g.m == 0:
         return CoverResult(0, ())
     columns = [(1 << u) | (1 << v) for u, v in g.edges]
-    return CoverResult(*hitting.lexicographic_minimum(columns, g.n))
+    return CoverResult(*hitting.lexicographic_minimum(columns))

@@ -1,10 +1,10 @@
-"""Immutable simple connected graphs with hop distances and pendant reduction.
+"""Immutable simple connected graphs with hop distances.
 
-Vertices are dense integer ids ``0..n-1``; labels, when present, are purely
-presentational. Edges get canonical ids: the position of the ``(min, max)``
-endpoint pair in the sorted edge tuple, stable across runs. Disconnection
-after an edge removal is encoded as :data:`INFINITE`, which compares strictly
-greater than (and unequal to) every finite hop count.
+Vertices are dense integer ids ``0..n-1``. Edges get canonical ids: the
+position of the ``(min, max)`` endpoint pair in the sorted edge tuple, stable
+across runs. Disconnection after an edge removal is encoded as
+:data:`INFINITE`, which compares strictly greater than (and unequal to) every
+finite hop count.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ class Graph:
     a single graph can be shared freely across threads.
     """
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Sequence[str] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0:
             raise GraphError("graph must have at least one vertex")
         canon: set[tuple[int, int]] = set()
@@ -49,12 +44,6 @@ class Graph:
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._edge_ids = {e: i for i, e in enumerate(self.edges)}
-        if labels is not None:
-            if len(labels) != n:
-                raise GraphError(f"got {len(labels)} labels for {n} vertices")
-            self.labels: tuple[str, ...] | None = tuple(str(s) for s in labels)
-        else:
-            self.labels = None
         self._check_connected()
 
     @property
@@ -77,11 +66,6 @@ class Graph:
             return self._edge_ids[(u, v) if u < v else (v, u)]
         except KeyError:
             raise GraphError(f"no edge between {u} and {v}") from None
-
-    def label(self, v: int) -> str:
-        if self.labels is not None:
-            return self.labels[v]
-        return str(v)
 
     def _check_connected(self) -> None:
         seen = [False] * self.n
@@ -132,9 +116,6 @@ class Graph:
         """All-pairs hop distances; symmetric with a zero diagonal."""
         return tuple(tuple(self.distances_from(v)) for v in range(self.n))
 
-    def distance(self, u: int, v: int) -> int:
-        return self.distance_matrix[u][v]
-
     def eccentricity(self, v: int) -> int:
         return max(self.distance_matrix[v])
 
@@ -156,10 +137,9 @@ class Graph:
         edges = [
             (pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos
         ]
-        return Graph(len(order), edges, labels=[self.label(v) for v in order])
+        return Graph(len(order), edges)
 
     def __eq__(self, other: object) -> bool:
-        # labels are presentation-only and do not affect identity
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and self.edges == other.edges
@@ -210,36 +190,3 @@ def parse_edge_list(text: str, *, max_n: int | None = None) -> Graph:
 def format_edge_list(g: Graph) -> str:
     """Write a graph back out in the edge-list format, edges sorted."""
     return "".join(f"{u} {v}\n" for u, v in g.edges)
-
-
-def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    return g.distance_matrix
-
-
-def base_graph(g: Graph) -> Graph | None:
-    """Iteratively strip degree-1 vertices (with their pendant edges).
-
-    Returns ``None`` when nothing with an edge remains, i.e. exactly when
-    ``g`` is a tree. Surviving vertices keep their labels from ``g``.
-    """
-    degree = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    queue = deque(v for v in range(g.n) if degree[v] == 1)
-    while queue:
-        v = queue.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for w in g.neighbors(v):
-            if alive[w]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    queue.append(w)
-    kept = [v for v in range(g.n) if alive[v]]
-    remap = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (remap[u], remap[v]) for u, v in g.edges if alive[u] and alive[v]
-    ]
-    if not edges:
-        return None
-    return Graph(len(kept), edges, labels=[g.label(v) for v in kept])

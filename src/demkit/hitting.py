@@ -54,8 +54,9 @@ solved once; the searches of one witness walk share one memo.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import islice
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceededError
@@ -207,9 +208,9 @@ class _Search:
 
     __slots__ = ("nodes", "memo")
 
-    def __init__(self, memo: dict | None = None):
+    def __init__(self):
         self.nodes = 0
-        self.memo = {} if memo is None else memo
+        self.memo: dict = {}
 
 
 def partition_bound(
@@ -352,35 +353,31 @@ def _feasible(
 
 
 def exists_hitting_set(
-    columns: Sequence[int],
-    budget: int,
-    parts: Partitions = (),
-    memo: dict | None = None,
+    columns: Sequence[int], budget: int, parts: Partitions = ()
 ) -> bool:
-    """True iff some hitting set of size <= budget exists. ``memo`` holds
-    block values (see :func:`partition_bound`) to share between searches."""
+    """True iff some hitting set of size <= budget exists."""
     if budget < 0 or any(c == 0 for c in columns):
         return False
-    return bool(_feasible(columns, budget, parts, _Search(memo)))
+    return bool(_feasible(columns, budget, parts, _Search()))
 
 
 def _lexicographic_walk(
     columns: Sequence[int],
-    n: int,
     size: int,
     feasible: Callable[..., bool | int],
     parts: Partitions = (),
 ) -> Iterator[tuple[int, ...]]:
     """Hitting sets of ``size`` (the minimum) vertices, in lexicographic order.
 
-    Tries vertices in id order, skipping one that hits no unhit column, and
-    descends only where ``feasible(columns, budget, parts)`` accepts the
-    columns left unhit, restricted to later vertices, within the rest of the
-    budget; the blocks of ``parts`` are restricted to later vertices alike.
-    ``feasible`` returns False to reject, True to accept, or a completion: a
-    nonzero mask of later vertices hitting those columns within the budget.
-    The walk then descends into the completion's lowest vertex with no test,
-    keeping the rest; vertices below it are still tested.
+    Tries, in id order, the vertices past the last one chosen that lie in the
+    union of the unhit columns, and descends only where
+    ``feasible(columns, budget, parts)`` accepts the columns left unhit,
+    restricted to later vertices, within the rest of the budget; the blocks
+    of ``parts`` are restricted to later vertices alike. ``feasible``
+    returns False to reject, True to accept, or a completion: a nonzero mask
+    of later vertices hitting those columns within the budget. The walk then
+    descends into the completion's lowest vertex with no test, keeping the
+    rest; vertices below it are still tested.
     """
     chosen: list[int] = []
 
@@ -393,12 +390,14 @@ def _lexicographic_walk(
             yield tuple(chosen)
             return
         budget = size - len(chosen) - 1
-        for v in range(start, n):
-            rest = [c for c in uncovered if not (c >> v) & 1]
-            if len(rest) == len(uncovered):
-                continue
-            if completion & -completion == 1 << v:
-                kept = completion ^ 1 << v
+        reach = reduce(or_, uncovered) >> start << start
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            v = low.bit_length() - 1
+            rest = [c for c in uncovered if not c & low]
+            if completion & -completion == low:
+                kept = completion ^ low
             else:
                 shift = v + 1  # ids shift, order is kept
                 later = [c >> shift for c in rest]
@@ -419,32 +418,30 @@ def _lexicographic_walk(
 
 
 def lexicographically_smallest(
-    columns: Sequence[int], n: int, size: int, parts: Partitions = ()
+    columns: Sequence[int], size: int, parts: Partitions = ()
 ) -> tuple[int, ...]:
     """The lexicographically smallest hitting set of exactly the given
     (minimum) size, as a sorted tuple of vertex ids."""
     feasible = partial(_feasible, search=_Search())  # one memo for the walk
-    for first in _lexicographic_walk(columns, n, size, feasible, parts):
+    for first in _lexicographic_walk(columns, size, feasible, parts):
         return first
     raise ValueError("no hitting set of the requested size exists")
 
 
-def lexicographic_minimum(
-    columns: Sequence[int], n: int
-) -> tuple[int, tuple[int, ...]]:
+def lexicographic_minimum(columns: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Exact minimum hitting-set size and the lexicographically smallest
     minimum set."""
     value, _ = minimum_hitting_set(columns)
-    return value, lexicographically_smallest(columns, n, value)
+    return value, lexicographically_smallest(columns, value)
 
 
 def enumerate_minimum_sets(
-    columns: Sequence[int], n: int, size: int, cap: int
+    columns: Sequence[int], size: int, cap: int
 ) -> tuple[tuple[int, ...], ...]:
     """All hitting sets of exactly the given (minimum) size, in lexicographic
     order. Raises :class:`EnumerationCapExceededError` past ``cap`` sets."""
     walk = _lexicographic_walk(
-        columns, n, size, lambda cols, budget, _: disjoint_lower_bound(cols) <= budget
+        columns, size, lambda cols, budget, _: disjoint_lower_bound(cols) <= budget
     )
     sets = tuple(islice(walk, cap + 1))
     if len(sets) > cap:

@@ -199,8 +199,6 @@ def _solve(
     """The value stage shared by :func:`dem_value` and :func:`dem_number`:
     the monitor matrix, the greedy seed, the factor layers, and the minimum
     value with the nodes its branch and bound explored."""
-    if g.n > max_n:
-        raise CapExceededError("monitoring solver", g.n, max_n)
     matrix = monitor_matrix(g, max_n=max_n)
     greedy = greedy_dem(g, matrix)
     parts = products.factor_layers(g)
@@ -235,11 +233,9 @@ def dem_number(
     """
     matrix, greedy, parts, value, nodes = _solve(g, max_n)
     if enumerate_all:
-        sets = hitting.enumerate_minimum_sets(
-            matrix.cols, g.n, value, enumeration_cap
-        )
+        sets = hitting.enumerate_minimum_sets(matrix.cols, value, enumeration_cap)
         witness = sets[0]
     else:
         sets = None
-        witness = hitting.lexicographically_smallest(matrix.cols, g.n, value, parts)
+        witness = hitting.lexicographically_smallest(matrix.cols, value, parts)
     return DemResult(g.n, g.m, value, witness, sets, nodes, greedy)

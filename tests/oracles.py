@@ -132,3 +132,25 @@ def connected_edge_subsets(n):
             if is_connected(n, chosen):
                 out.append(list(chosen))
     return out
+
+
+def base_graph(n, edges):
+    """Strip degree-1 vertices, with their edges, until none is left (the
+    base graph of Foucaud et al.). Returns (k, edges) on the survivors
+    renumbered 0..k-1 in id order, or None when no edge survives, i.e. when
+    the graph is a tree."""
+    edges = [tuple(e) for e in edges]
+    while True:
+        degree = [0] * n
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        kept = [e for e in edges if degree[e[0]] > 1 and degree[e[1]] > 1]
+        if len(kept) == len(edges):
+            break
+        edges = kept
+    if not edges:
+        return None
+    alive = sorted({v for e in edges for v in e})
+    new = {v: i for i, v in enumerate(alive)}
+    return len(alive), [(new[a], new[b]) for a, b in edges]

@@ -176,6 +176,11 @@ class TestSuites:
         for text in formula_instances() + bounds_instances(0):
             assert order_of(parse_expr(text)) <= 24
 
+    def test_instance_lists_do_not_follow_the_solver_cap(self, monkeypatch):
+        expected = (formula_instances(), bounds_instances(0))
+        monkeypatch.setattr(formulas, "DEFAULT_MAX_N", 1024)
+        assert (formula_instances(), bounds_instances(0)) == expected
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("everything")

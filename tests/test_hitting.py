@@ -62,26 +62,26 @@ def test_exists_hitting_set():
 
 def test_lexicographically_smallest():
     cols = masks({0, 1}, {1, 2}, {2, 3})
-    assert lexicographically_smallest(cols, 4, 2) == (0, 2)
+    assert lexicographically_smallest(cols, 2) == (0, 2)
 
 
 def test_size_above_the_minimum_is_refused():
     cols = masks({0})
     with pytest.raises(ValueError):
-        lexicographically_smallest(cols, 3, 2)
+        lexicographically_smallest(cols, 2)
     with pytest.raises(ValueError):
-        enumerate_minimum_sets(cols, 3, 2, 10)
+        enumerate_minimum_sets(cols, 2, 10)
 
 
 def test_enumeration_is_complete_and_ordered():
     cols = masks({0, 1}, {1, 2}, {2, 3})
-    assert enumerate_minimum_sets(cols, 4, 2, 100) == ((0, 2), (1, 2), (1, 3))
+    assert enumerate_minimum_sets(cols, 2, 100) == ((0, 2), (1, 2), (1, 3))
 
 
 def test_enumeration_cap():
     cols = masks({0, 1, 2, 3})
     with pytest.raises(EnumerationCapExceededError):
-        enumerate_minimum_sets(cols, 4, 1, 2)
+        enumerate_minimum_sets(cols, 1, 2)
 
 
 def test_greedy_is_valid():
@@ -118,7 +118,7 @@ def test_feasibility_and_witness_match_subset_search(case, slack):
     if first is not None:
         size = len(first)
         assert minimum_hitting_set(cols)[0] == size
-        assert lexicographically_smallest(cols, n, size) == first
+        assert lexicographically_smallest(cols, size) == first
         minimum = tuple(
             subset
             for subset in combinations(range(n), size)
@@ -127,9 +127,33 @@ def test_feasibility_and_witness_match_subset_search(case, slack):
         cap = max(len(minimum) + slack, 0)  # straddle the number of sets
         if len(minimum) > cap:
             with pytest.raises(EnumerationCapExceededError):
-                enumerate_minimum_sets(cols, n, size, cap)
+                enumerate_minimum_sets(cols, size, cap)
         else:
-            assert enumerate_minimum_sets(cols, n, size, cap) == minimum
+            assert enumerate_minimum_sets(cols, size, cap) == minimum
+
+
+@pytest.mark.parametrize(
+    "sets, first",
+    [
+        ([{3, 7}, {7, 12}, {3, 12}], (3, 7)),  # vertex ids with gaps
+        ([{0, 40}, {1, 40}], (40,)),  # one vertex far above the rest
+        ([], ()),  # no columns: the empty set, of size 0
+    ],
+)
+def test_walk_takes_its_vertices_from_the_columns(sets, first):
+    # the walk takes its candidate vertices from the columns' union alone
+    cols = masks(*sets)
+    n = max((c.bit_length() for c in cols), default=0)
+    assert _first_hitting_set(cols, n) == first
+    size = len(first)
+    assert minimum_hitting_set(cols)[0] == size
+    assert lexicographically_smallest(cols, size) == first
+    minimum = tuple(
+        subset
+        for subset in combinations(range(n), size)
+        if all(c & sum(1 << v for v in subset) for c in cols)
+    )
+    assert enumerate_minimum_sets(cols, size, 100) == minimum
 
 
 @st.composite
@@ -161,7 +185,7 @@ def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
     assert value == size and nodes <= minimum_hitting_set(cols)[1]
     for budget in range(size - 2, size + 2):
         assert exists_hitting_set(cols, budget, parts) == (budget >= size)
-    assert lexicographically_smallest(cols, n, size, parts) == first
+    assert lexicographically_smallest(cols, size, parts) == first
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,7 +240,7 @@ def test_walk_restricts_blocks_as_it_restricts_columns():
 
     cols = masks({0, 1}, {2, 3})
     parts = ((0b0011, 0b1100),)
-    assert next(_lexicographic_walk(cols, 4, 2, feasible, parts)) == (0, 2)
+    assert next(_lexicographic_walk(cols, 2, feasible, parts)) == (0, 2)
     assert seen == [([0b110], [[0b001, 0b110]]), ([], [[0b1]])]
 
 
@@ -228,7 +252,7 @@ def test_walk_descends_into_a_completion_untested():
         return 0b010  # later vertex 1: vertex 2 once shifted back
 
     cols = masks({0, 1}, {2, 3})
-    assert next(_lexicographic_walk(cols, 4, 2, feasible)) == (0, 2)
+    assert next(_lexicographic_walk(cols, 2, feasible)) == (0, 2)
     assert seen == [([0b110], 1)]
 
 
@@ -242,7 +266,7 @@ def test_witness_solves_once_when_completions_carry_it(monkeypatch):
 
     monkeypatch.setattr(hitting, "_solve", counting)
     cols = masks({0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5})
-    assert lexicographically_smallest(cols, 6, 3) == (0, 2, 4)
+    assert lexicographically_smallest(cols, 3) == (0, 2, 4)
     # vertex 0 is solved and its completion carries the walk through 2 and
     # 4; the disjoint bound rejects 1 and 3
     assert calls == [masks({0, 1}, {1, 2}, {2, 3}, {3, 4})]

@@ -460,7 +460,7 @@ def _without_partitions(g):
     """Value, witness and nodes of the search with no partition bound."""
     cols = monitor_matrix(g, max_n=g.n).cols
     value, nodes = minimum_hitting_set(cols)
-    return value, lexicographically_smallest(cols, g.n, value), nodes
+    return value, lexicographically_smallest(cols, value), nodes
 
 
 def _assert_same_answer(g):
@@ -508,7 +508,7 @@ def test_witness_with_layers_is_the_partition_free_walks(spec, max_n):
     g = build(parse_expr(spec))
     result = dem_number(g, max_n=max_n)
     cols = monitor_matrix(g, max_n=max_n).cols
-    assert result.witness == lexicographically_smallest(cols, g.n, result.value)
+    assert result.witness == lexicographically_smallest(cols, result.value)
     columns = oracles.monitor_columns(g.n, list(g.edges))
     assert all(col & set(result.witness) for col in columns)
 
