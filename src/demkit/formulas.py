@@ -365,7 +365,7 @@ def _min_sets_covering_vertices(
             if v in s:
                 mask |= 1 << idx
         columns.append(mask)
-    value, _ = hitting.minimum_hitting_set(columns)
+    value, _ = hitting.minimum_hitting_set(hitting.reduce_columns(columns))
     return value
 
 

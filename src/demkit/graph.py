@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CapExceededError, DisconnectedGraphError, GraphError
 
@@ -126,18 +126,6 @@ class Graph:
     def is_tree(self) -> bool:
         # connectivity is a construction invariant, so the edge count decides
         return self.m == self.n - 1
-
-    def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Subgraph induced by ``vertices``, relabeled to ``0..k-1`` in the
-        given order. Raises if the result is disconnected."""
-        order = list(vertices)
-        pos = {v: i for i, v in enumerate(order)}
-        if len(pos) != len(order):
-            raise GraphError("duplicate vertex in induced-subgraph selection")
-        edges = [
-            (pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos
-        ]
-        return Graph(len(order), edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -12,9 +12,19 @@ greedy disjoint-column lower bound, and split into independent components
 whenever the uncovered columns fall apart. Sibling branches exclude already
 tried vertices, so no partial solution is explored twice. Given a target
 size, it stops at the first solution that small: ``exists_hitting_set``.
+Its upper bound is the greedy set less its redundant vertices
+(``_minimal``): one pass over the columns keeps every seed vertex that some
+column meets alone, and the others are dropped from the highest id down
+while every column stays hit. Greedy picks that later picks made redundant
+would otherwise leave a gap the search has to close by branching.
 
-Its two per-call kernels work on whole masks. ``greedy_hitting``, the upper
-bound of every solve, keeps each vertex's count of remaining columns
+No solve needs reduced columns, since a duplicate or a superset of another
+column changes no answer. The reduction (``reduce_columns``) is quadratic,
+so whoever builds a column set reduces it once and passes the result to
+every solve of it: the value search, the witness walk, the enumeration.
+
+The two per-call kernels of ``_solve`` work on whole masks.
+``greedy_hitting``, the seed of every solve, keeps each vertex's count of remaining columns
 bit-sliced: ``digits[j]`` is the mask of the vertices whose count has bit j
 set. A column enters by a ripple-carry of its mask into the digits and
 leaves by a ripple-borrow, and the vertices of largest count are the
@@ -170,6 +180,26 @@ def greedy_hitting(cols: Sequence[int]) -> list[int]:
     return sorted(chosen)
 
 
+def _minimal(cols: Sequence[int], seed: Sequence[int]) -> int:
+    """The hitting set ``seed`` (sorted ids) as a mask, less every vertex the
+    others make redundant: those hitting some column alone are kept, the
+    rest are dropped from the highest id down while every column stays hit."""
+    kept = sum(1 << v for v in seed)
+    alone = 0
+    for c in cols:
+        hit = c & kept
+        if not hit & (hit - 1):
+            alone |= hit
+    for v in reversed(seed):
+        bit = 1 << v
+        if bit & alone:
+            continue
+        rest = kept ^ bit
+        if all(c & rest for c in cols):
+            kept = rest
+    return kept
+
+
 def disjoint_lower_bound(cols: Sequence[int]) -> int:
     """Size of a greedily built family of pairwise disjoint columns; each
     needs its own vertex, so this lower-bounds the hitting number."""
@@ -249,7 +279,7 @@ def partition_bound(
 
 
 def _solve(
-    cols: list[int],
+    cols: Sequence[int],
     search: _Search,
     cap: int | None = None,
     target: int = -1,
@@ -259,13 +289,14 @@ def _solve(
 
     The columns need not be reduced: a duplicate or a superset of another
     column changes no answer, only the work. The set, a vertex mask, is the
-    greedy seed, a leaf or the union over the components. ``cap`` (when
-    given) bounds the search from above: only solutions smaller than ``cap``
-    are searched for, and ``cap`` is returned if none exists, with no set
-    (None) unless the greedy seed has that size. The search stops at the
-    first solution of size <= ``target`` and returns it, achievable but not
-    necessarily minimum. ``parts`` feeds :func:`partition_bound`, tried at a
-    node only when the disjoint-column bound failed to prune it.
+    seed (the greedy set less its redundant vertices, :func:`_minimal`), a
+    leaf or the union over the components. ``cap`` (when given) bounds the
+    search from above: only solutions smaller than ``cap`` are searched for,
+    and ``cap`` is returned if none exists, with no set (None) unless the
+    seed has that size. The search stops at the first solution of size <=
+    ``target`` and returns it, achievable but not necessarily minimum.
+    ``parts`` feeds :func:`partition_bound`, tried at a node only when the
+    disjoint-column bound failed to prune it.
     """
     if not cols:
         return 0, 0
@@ -274,8 +305,8 @@ def _solve(
         # the components' sets are disjoint: their sum is their union
         total, hit = map(sum, zip(*(_solve(c, search, parts=parts) for c in comps)))
         return total, hit
-    seed = greedy_hitting(cols)
-    best, best_set = len(seed), sum(1 << v for v in seed)
+    best_set = _minimal(cols, greedy_hitting(cols))
+    best = best_set.bit_count()
     if cap is not None and cap < best:
         best, best_set = cap, None
     if best <= target:
@@ -327,13 +358,15 @@ def minimum_hitting_set(
 ) -> tuple[int, int]:
     """Exact minimum hitting-set size and the number of search nodes.
 
-    ``upper``, when given, must be the size of a known valid hitting set.
-    ``parts`` are vertex partitions for :func:`partition_bound`.
+    The columns need not be reduced; callers that solve one column set more
+    than once reduce it once (:func:`reduce_columns`) and pass the result to
+    every solve. ``upper``, when given, must be the size of a known valid
+    hitting set. ``parts`` are vertex partitions for :func:`partition_bound`.
     """
     if any(c == 0 for c in columns):
         raise ValueError("unhittable empty column")
     search = _Search()
-    value, _ = _solve(reduce_columns(columns), search, cap=upper, parts=parts)
+    value, _ = _solve(columns, search, cap=upper, parts=parts)
     return value, search.nodes
 
 
@@ -382,7 +415,7 @@ def _lexicographic_walk(
     chosen: list[int] = []
 
     def walk(
-        uncovered: list[int], start: int, completion: int
+        uncovered: Sequence[int], start: int, completion: int
     ) -> Iterator[tuple[int, ...]]:
         if not uncovered:
             if len(chosen) < size:
@@ -414,7 +447,7 @@ def _lexicographic_walk(
             yield from walk(rest, v + 1, kept)
             chosen.pop()
 
-    return walk(reduce_columns(columns), 0, 0)
+    return walk(columns, 0, 0)
 
 
 def lexicographically_smallest(
@@ -431,8 +464,9 @@ def lexicographically_smallest(
 def lexicographic_minimum(columns: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Exact minimum hitting-set size and the lexicographically smallest
     minimum set."""
-    value, _ = minimum_hitting_set(columns)
-    return value, lexicographically_smallest(columns, value)
+    cols = reduce_columns(columns)
+    value, _ = minimum_hitting_set(cols)
+    return value, lexicographically_smallest(cols, value)
 
 
 def enumerate_minimum_sets(

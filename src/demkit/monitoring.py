@@ -195,17 +195,19 @@ class DemResult:
 
 def _solve(
     g: Graph, max_n: int
-) -> tuple[MonitorMatrix, tuple[int, ...], tuple, int, int]:
+) -> tuple[list[int], tuple[int, ...], tuple, int, int]:
     """The value stage shared by :func:`dem_value` and :func:`dem_number`:
-    the monitor matrix, the greedy seed, the factor layers, and the minimum
-    value with the nodes its branch and bound explored."""
+    the monitor columns, reduced once for every solve that follows, the
+    greedy seed, the factor layers, and the minimum value with the nodes its
+    branch and bound explored."""
     matrix = monitor_matrix(g, max_n=max_n)
     greedy = greedy_dem(g, matrix)
     parts = products.factor_layers(g)
+    cols = hitting.reduce_columns(matrix.cols)
     value, nodes = hitting.minimum_hitting_set(
-        matrix.cols, upper=len(greedy), parts=parts
+        cols, upper=len(greedy), parts=parts
     )
-    return matrix, greedy, parts, value, nodes
+    return cols, greedy, parts, value, nodes
 
 
 def dem_value(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> int:
@@ -231,11 +233,11 @@ def dem_number(
     layers of the graph's Cartesian prime factors (``products.factor_layers``).
     The value comes from the same stage as :func:`dem_value`.
     """
-    matrix, greedy, parts, value, nodes = _solve(g, max_n)
+    cols, greedy, parts, value, nodes = _solve(g, max_n)
     if enumerate_all:
-        sets = hitting.enumerate_minimum_sets(matrix.cols, value, enumeration_cap)
+        sets = hitting.enumerate_minimum_sets(cols, value, enumeration_cap)
         witness = sets[0]
     else:
         sets = None
-        witness = hitting.lexicographically_smallest(matrix.cols, value, parts)
+        witness = hitting.lexicographically_smallest(cols, value, parts)
     return DemResult(g.n, g.m, value, witness, sets, nodes, greedy)

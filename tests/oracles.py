@@ -154,3 +154,13 @@ def base_graph(n, edges):
     alive = sorted({v for e in edges for v in e})
     new = {v: i for i, v in enumerate(alive)}
     return len(alive), [(new[a], new[b]) for a, b in edges]
+
+
+def induced(edges, vertices):
+    """Subgraph induced by ``vertices``, relabelled 0..k-1 in the given
+    order: (k, sorted edge list with each pair as (low, high))."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    kept = [
+        tuple(sorted((pos[a], pos[b]))) for a, b in edges if a in pos and b in pos
+    ]
+    return len(pos), sorted(kept)

@@ -119,17 +119,18 @@ class TestRadiusAndTree:
 class TestBaseGraph:
     def test_monitoring_number_invariant(self):
         # pendant stripping never changes the monitoring number (non-trees),
-        # with the stripper of the package-free oracles
+        # with the stripper of the package-free oracles; only graphs that
+        # have a pendant vertex to strip count towards the ten
         found = 0
         seed = 0
         while found < 10:
             seed += 1
             g = random_connected(4 + seed % 5, 1, 2, 900 + seed)
-            if g.is_tree():
-                continue
+            base = oracles.base_graph(g.n, g.edges)
+            if base is None or (base[0], len(base[1])) == (g.n, g.m):
+                continue  # a tree, or nothing to strip
             found += 1
-            b = Graph(*oracles.base_graph(g.n, g.edges))
-            assert dem_number(b).value == dem_number(g).value
+            assert dem_number(Graph(*base)).value == dem_number(g).value
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from demkit.hitting import (
     _lexicographic_walk,
     _Search,
     _solve,
+    bits,
     disjoint_lower_bound,
     enumerate_minimum_sets,
     exists_hitting_set,
@@ -217,6 +218,44 @@ def test_solve_returns_a_set_of_the_size_it_reports(case, cap, target, with_part
         assert size <= found <= target
     else:
         assert found == size
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_columns())
+# the greedy set {0, 1, 2} keeps 0, which 1 and 2 make redundant
+@example(case=(3, masks({0, 1}, {0, 2}, {1}, {2}), ()))
+# greedy {0, 1, 2, 3}: 0 and 1 are each redundant, but not both at once
+@example(
+    case=(
+        4,
+        masks({1, 3}, {0, 2}, {2}, {1, 2}, {0, 3}, {0, 1, 3}, {3}, {0, 1}),
+        (),
+    )
+)
+def test_solve_starts_from_the_greedy_set_less_its_redundant_vertices(case):
+    _, cols, _ = case
+    assume(len(_components(cols)) == 1)  # a split solves each component
+    search = _Search()
+    size, seed = _solve(cols, search, target=len(cols))  # stops at the seed
+    greedy = sum(1 << v for v in greedy_hitting(cols))
+    assert search.nodes == 0 and seed.bit_count() == size
+    assert seed & ~greedy == 0
+    assert all(c & seed for c in cols)
+    for v in bits(seed):
+        assert not all(c & (seed ^ 1 << v) for c in cols), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_columns())
+def test_raw_and_reduced_columns_give_one_answer(case):
+    # callers reduce once and pass the reduced columns to every solve
+    _, cols, parts = case
+    reduced = reduce_columns(cols)
+    value, _ = minimum_hitting_set(cols, parts=parts)
+    assert minimum_hitting_set(reduced, parts=parts)[0] == value
+    assert lexicographically_smallest(
+        cols, value, parts
+    ) == lexicographically_smallest(reduced, value, parts)
 
 
 @settings(max_examples=300, deadline=None)

@@ -273,27 +273,49 @@ class TestDemNumber:
         "cartesian(cycle:3|cycle:11)": 1,
         "cartesian(path:4|cycle:8)": 1,
         "hypercube:5": 1,
-        "cartesian(book:2|book:4)": 56,
-        "cartesian(cycle:5|cycle:6)": 56,
-        "cartesian(cycle:6|cycle:6)": 126,
-        "cartesian(book:2|book:2)": 66,
+        "cartesian(book:2|book:4)": 13,
+        "cartesian(cycle:5|cycle:6)": 1,
+        "cartesian(cycle:6|cycle:6)": 1,
+        "cartesian(book:2|book:2)": 60,
+        # past the cap: the greedy set less its redundant vertices meets the
+        # root bound on the first two
+        "cartesian(cycle:10|cycle:10)": 1,
+        "cartesian(complete:7|complete:7)": 1,
+        "cartesian(book:4|book:4)": 29,
         # graphs on which the search really branches
         "join(path:6|cycle:8)": 13,
         "corona(path:4|complete:4)": 20,
         "cycle:24": 23,
         "cluster(cycle:6|cycle:4)": 6,
         "book:22": 3,
-        "randconn:24:1/2:seed=3": 40,  # conftest.random_connected(24, 1, 2, 3)
-        "randconn:22:1/4:seed=4": 125,
+        "randconn:24:1/2:seed=3": 38,  # conftest.random_connected(24, 1, 2, 3)
+        "randconn:22:1/4:seed=4": 115,
     }
 
     @pytest.mark.parametrize("spec", list(PINNED_NODES))
     def test_nodes_explored_is_pinned(self, spec):
         g = build(parse_expr(spec))
-        max_n = 36 if g.n > 24 else 24
-        result = dem_number(g, max_n=max_n)
+        result = dem_number(g, max_n=g.n)
         assert result.nodes_explored == self.PINNED_NODES[spec]
-        assert dem_value(g, max_n=max_n) == result.value
+        assert dem_value(g, max_n=g.n) == result.value
+
+    @pytest.mark.parametrize(
+        "spec, value",
+        [
+            ("cartesian(cycle:4|cartesian(cycle:5|cycle:5))", 50),
+            ("cartesian(path:3|cartesian(cycle:5|cycle:5))", 30),
+        ],
+    )
+    def test_three_factor_value_closes_at_the_root(self, spec, value):
+        # the partition bound at the root meets the minimal seed: no branching
+        g = build(parse_expr(spec))
+        matrix = monitor_matrix(g, max_n=g.n)
+        cols = reduce_columns(matrix.cols)
+        upper = len(greedy_dem(g, matrix))
+        assert upper > value  # the greedy set alone would leave a gap
+        assert minimum_hitting_set(
+            cols, upper=upper, parts=factor_layers(g)
+        ) == (value, 1)
 
     # (count, sha256 of repr(all_minimum_sets)): any change in the listed
     # sets or in their order shows here, where no report prints them all
@@ -457,8 +479,9 @@ def test_value_stage_is_dem_numbers_value(n, num, seed):
 
 
 def _without_partitions(g):
-    """Value, witness and nodes of the search with no partition bound."""
-    cols = monitor_matrix(g, max_n=g.n).cols
+    """Value, witness and nodes of the search with no partition bound, on
+    the reduced columns that ``dem_number`` solves."""
+    cols = reduce_columns(monitor_matrix(g, max_n=g.n).cols)
     value, nodes = minimum_hitting_set(cols)
     return value, lexicographically_smallest(cols, value), nodes
 

@@ -8,7 +8,13 @@ from demkit import Graph, GraphError, build, cartesian, cluster, corona, join, p
 from demkit import products
 from demkit.products import factor_layers
 
+import oracles
 from conftest import book, complete, cycle, path, random_connected, random_tree
+
+
+def induces(g, vertices, h):
+    """True iff ``vertices`` of g, in the given order, induce exactly h."""
+    return oracles.induced(g.edges, vertices) == (h.n, list(h.edges))
 
 
 class TestJoin:
@@ -28,7 +34,7 @@ class TestJoin:
         g, pm = join(path(3), cycle(3))
         assert pm.g_vertices() == (0, 1, 2)
         assert pm.h_copy(0) == (3, 4, 5)
-        assert g.induced(pm.h_copy(0)) == cycle(3)
+        assert induces(g, pm.h_copy(0), cycle(3))
 
     def test_diameter_at_most_two(self):
         for a, b in [(path(4), cycle(5)), (path(2), complete(3))]:
@@ -55,7 +61,7 @@ class TestCorona:
         assert pm.g_vertices() == (0, 1, 2)
         for i in range(3):
             copy = pm.h_copy(i)
-            assert g.induced(copy) == complete(3)
+            assert induces(g, copy, complete(3))
             # the i-th spine vertex is joined to all of copy i
             assert all(g.has_edge(i, w) for w in copy)
 
@@ -76,9 +82,9 @@ class TestCluster:
 
     def test_roots_induce_the_base(self):
         g, pm = cluster(cycle(4), path(3), root=1)
-        assert g.induced(pm.g_vertices()) == cycle(4)
+        assert induces(g, pm.g_vertices(), cycle(4))
         for i in range(4):
-            assert g.induced(pm.h_copy(i)) == path(3)
+            assert induces(g, pm.h_copy(i), path(3))
 
     def test_bad_root(self):
         with pytest.raises(GraphError):
@@ -103,9 +109,9 @@ class TestCartesian:
     def test_layers_are_factor_copies(self):
         g, pm = cartesian(cycle(4), path(3))
         for j in range(3):
-            assert g.induced(pm.g_layer(j)) == cycle(4)
+            assert induces(g, pm.g_layer(j), cycle(4))
         for i in range(4):
-            assert g.induced(pm.h_layer(i)) == path(3)
+            assert induces(g, pm.h_layer(i), path(3))
 
     def test_vertex_map_round_trip(self):
         _, pm = cartesian(path(3), cycle(3))
