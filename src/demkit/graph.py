@@ -2,9 +2,16 @@
 
 Vertices are dense integer ids ``0..n-1``. Edges get canonical ids: the
 position of the ``(min, max)`` endpoint pair in the sorted edge tuple, stable
-across runs. Disconnection after an edge removal is encoded as
-:data:`INFINITE`, which compares strictly greater than (and unequal to) every
-finite hop count.
+across runs. Vertex and edge sets are bitmasks over these ids.
+
+Hop distances come from one level-synchronous BFS per source over the
+neighbour masks (:meth:`Graph.levels_from`): the next level is the OR of the
+frontier's neighbour masks less every vertex already reached. The level masks
+of all sources (:attr:`Graph.levels`) are computed once per graph and feed
+the distance matrix, the eccentricities, the monitor matrix and the factor
+layers. :meth:`Graph.distances_from` is a separate queue BFS that can remove
+one edge; disconnection is then encoded as :data:`INFINITE`, which compares
+strictly greater than (and unequal to) every finite hop count.
 """
 
 from __future__ import annotations
@@ -112,12 +119,62 @@ class Graph:
         return dist
 
     @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a vertex mask."""
+        return tuple(sum(1 << w for w in a) for a in self._adj)
+
+    @cached_property
+    def incident_masks(self) -> tuple[int, ...]:
+        """Each vertex's incident edges as an edge mask; the edge uv is the
+        one bit of ``incident_masks[u] & incident_masks[v]``."""
+        inc = [0] * self.n
+        for eid, (u, v) in enumerate(self.edges):
+            inc[u] |= 1 << eid
+            inc[v] |= 1 << eid
+        return tuple(inc)
+
+    def levels_from(self, source: int) -> tuple[int, ...]:
+        """BFS levels from ``source``: entry d is the mask of the vertices at
+        distance d, so the last index is the eccentricity of ``source``."""
+        if not 0 <= source < self.n:
+            raise GraphError(f"vertex {source} out of range")
+        adj = self.neighbor_masks
+        frontier = seen = 1 << source
+        levels = [frontier]
+        while True:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                return tuple(levels)
+            seen |= frontier
+            levels.append(frontier)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """:meth:`levels_from` of every vertex, one BFS each."""
+        return tuple(self.levels_from(v) for v in range(self.n))
+
+    @cached_property
     def distance_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs hop distances; symmetric with a zero diagonal."""
-        return tuple(tuple(self.distances_from(v)) for v in range(self.n))
+        """All-pairs hop distances, read off :attr:`levels`; symmetric with a
+        zero diagonal."""
+        rows = []
+        for levels in self.levels:
+            row = [0] * self.n
+            for d, level in enumerate(levels):
+                while level:
+                    low = level & -level
+                    row[low.bit_length() - 1] = d
+                    level ^= low
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def eccentricity(self, v: int) -> int:
-        return max(self.distance_matrix[v])
+        return len(self.levels[v]) - 1
 
     def radius(self) -> int:
         """Smallest eccentricity over all vertices."""

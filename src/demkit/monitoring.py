@@ -18,6 +18,10 @@ through uv at equal length, and no distance changes. If u is the only parent,
 every shortest x-v path ends with uv, so d(x,v) grows when uv is removed.
 So x monitors exactly one edge per vertex with a single parent.
 
+In mask form, over the BFS levels of x (``Graph.levels``): a vertex v at
+level d has the parent mask ``p = adj[v] & levels[d-1]``, and x monitors the
+edge from v to its parent iff ``p & (p - 1) == 0``, i.e. p has one bit.
+
 The ``*_naive`` twins follow the definition instead: they re-run the
 single-source distances with each edge removed in turn, and exist as the
 independent oracle for the parent-count rule.
@@ -95,25 +99,34 @@ def _row(g: Graph, x: int, candidates: Iterable[int]) -> int:
     return row
 
 
-def _parent_row(g: Graph, dist: Sequence[int]) -> int:
-    """Row of the probe with BFS distances ``dist`` by the parent-count rule:
-    two edge passes."""
-    parents = [0] * g.n
-    for u, v in g.edges:
-        if dist[u] != dist[v]:
-            parents[u if dist[u] > dist[v] else v] += 1
-    row = 0
-    for eid, (u, v) in enumerate(g.edges):
-        if dist[u] != dist[v] and parents[u if dist[u] > dist[v] else v] == 1:
-            row |= 1 << eid
-    return row
+def _single_parent(
+    g: Graph, levels_of: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[int]]:
+    """Rows and columns of the probes with BFS level masks ``levels_of``, by
+    the single-parent rule in one pass; the i-th probe is bit i of a column."""
+    adj, inc = g.neighbor_masks, g.incident_masks
+    rows = [0] * len(levels_of)
+    cols = [0] * g.m
+    for x, levels in enumerate(levels_of):
+        row, bit = 0, 1 << x
+        for above, level in zip(levels, levels[1:]):
+            while level:
+                low = level & -level
+                v = low.bit_length() - 1
+                p = adj[v] & above
+                if not p & (p - 1):  # one parent: x monitors the edge to it
+                    eid = (inc[v] & inc[p.bit_length() - 1]).bit_length() - 1
+                    row |= 1 << eid
+                    cols[eid] |= bit
+                level ^= low
+        rows[x] = row
+    return rows, cols
 
 
 def monitored_edges(g: Graph, x: int) -> set[int]:
-    """Edge ids monitored by vertex x (parent-count rule, one BFS)."""
-    if not 0 <= x < g.n:
-        raise GraphError(f"vertex {x} out of range")
-    return set(hitting.bits(_parent_row(g, g.distances_from(x))))
+    """Edge ids monitored by vertex x (single-parent rule, one BFS)."""
+    rows, _ = _single_parent(g, [g.levels_from(x)])
+    return set(hitting.bits(rows[0]))
 
 
 def monitored_edges_naive(g: Graph, x: int) -> set[int]:
@@ -132,12 +145,13 @@ def _matrix(g: Graph, rows: list[int]) -> MonitorMatrix:
 
 
 def monitor_matrix(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> MonitorMatrix:
-    """Complete V x E monitoring incidence from the rows of
-    ``g.distance_matrix``: one BFS per probe, shared with every other reader
-    of the graph's distances (``products.factor_layers``)."""
+    """Complete V x E monitoring incidence from ``g.levels``: one BFS per
+    probe, shared with every other reader of the graph's distances
+    (``products.factor_layers``)."""
     if g.n > max_n:
         raise CapExceededError("monitor matrix", g.n, max_n)
-    return _matrix(g, [_parent_row(g, dist) for dist in g.distance_matrix])
+    rows, cols = _single_parent(g, g.levels)
+    return MonitorMatrix(g.n, g.m, tuple(rows), tuple(cols))
 
 
 def monitor_matrix_naive(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> MonitorMatrix:

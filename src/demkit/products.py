@@ -144,7 +144,7 @@ def cartesian(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
     return Graph(m * n, edges), ProductVertexMap("cartesian", m, n, origins)
 
 
-def _on_chordless_squares(g: Graph, adj: list[int]) -> bool:
+def _on_chordless_squares(g: Graph, adj: tuple[int, ...]) -> bool:
     """True iff every edge lies on a chordless 4-cycle, as every edge of a
     product of two nontrivial connected graphs does: edge (a,h)(b,h) lies on
     (a,h)(b,h)(b,k)(a,k) for any neighbour k of h. ``adj`` holds each
@@ -169,11 +169,19 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _union(parent: list[int], x: int, y: int) -> bool:
-    """Merge the classes of x and y; True iff they were two classes."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    parent[rx] = ry
-    return rx != ry
+def _union(parent: list[int], x: int, y: int) -> None:
+    parent[_find(parent, x)] = _find(parent, y)
+
+
+def _cut(inc: tuple[int, ...], vertices: int) -> int:
+    """Edges with exactly one end in the vertex mask: the XOR of the
+    incident-edge masks ``inc`` of its vertices."""
+    out = 0
+    while vertices:
+        low = vertices & -vertices
+        out ^= inc[low.bit_length() - 1]
+        vertices ^= low
+    return out
 
 
 def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -185,25 +193,52 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     xy ~ uv iff d(x,u) + d(y,v) != d(x,v) + d(y,u), and tau, two edges at
     one vertex that lie on no chordless square together. Each class gives one
     partition, its blocks the connected components of the class's edges:
-    the copies of that factor. Returns ``()`` for a prime graph (as soon as
-    Theta alone leaves one class, since tau only merges classes), and for a
-    graph with an edge on no chordless square without computing a distance.
+    the copies of that factor.
+
+    Theta is computed in groups, with no test of edge pairs. With
+    ``a(w) = d(x,w) - d(y,w)``, which is -1, 0 or 1 for an edge xy, the
+    relation reads ``a(u) != a(v)``: the edges Theta-related to xy are those
+    cut by ``near_x = {w : a(w) = -1}`` or by ``near_y = {w : a(w) = 1}``,
+    both read off the BFS levels of x and y (``Graph.levels``). Every copy of
+    a factor edge has the same two sets, so a product computes about one cut
+    per factor edge. The classes close by a search over edge masks.
+
+    Returns ``()`` for a prime graph (as soon as the first Theta class holds
+    every edge, since tau only merges classes), and for a graph with an edge
+    on no chordless square without computing a distance.
     """
-    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    adj = g.neighbor_masks
     if g.m == 0 or not _on_chordless_squares(g, adj):
         return ()
-    edges = g.edges
-    classes = list(range(len(edges)))
-    left = len(edges)  # classes in the union-find
-    dist = g.distance_matrix  # the rows monitor_matrix reads too
-    for i, (x, y) in enumerate(edges):  # Theta
-        dx, dy = dist[x], dist[y]
-        for j in range(i + 1, len(edges)):
-            u, v = edges[j]
-            if dx[u] + dy[v] != dx[v] + dy[u] and _union(classes, i, j):
-                left -= 1
-                if left == 1:
-                    return ()
+    edges, levels, inc = g.edges, g.levels, g.incident_masks
+    cuts: dict[tuple[int, int], int] = {}
+    classes = list(range(len(edges)))  # union-find over edge ids
+    unclassed = full = (1 << len(edges)) - 1
+    while unclassed:  # Theta
+        first = unclassed & -unclassed
+        closed = frontier = first
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            x, y = edges[low.bit_length() - 1]
+            near_x = near_y = 0
+            for a, b in zip(levels[x], levels[y][1:]):
+                near_x |= a & b
+            for a, b in zip(levels[y], levels[x][1:]):
+                near_y |= a & b
+            related = cuts.get((near_x, near_y))
+            if related is None:
+                related = cuts[near_x, near_y] = _cut(inc, near_x) | _cut(inc, near_y)
+            frontier |= related & ~closed
+            closed |= related
+            if closed == full:
+                return ()
+        unclassed &= ~closed
+        root = first.bit_length() - 1
+        while closed:
+            low = closed & -closed
+            classes[low.bit_length() - 1] = root
+            closed ^= low
     for x in range(g.n):
         around = g.neighbors(x)
         for k, y in enumerate(around):

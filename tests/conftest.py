@@ -1,9 +1,28 @@
 import sys
+from itertools import combinations
 from pathlib import Path
+
+import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from demkit import FamilySpec, generate
+from demkit import FamilySpec, Graph, generate
+
+
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """The source of every ``Graph.levels_from`` call (one BFS each) made
+    while the test runs, in call order."""
+    calls = []
+    bfs = Graph.levels_from
+
+    def counting(self, source):
+        calls.append(source)
+        return bfs(self, source)
+
+    monkeypatch.setattr(Graph, "levels_from", counting)
+    return calls
 
 
 def path(n):
@@ -32,3 +51,25 @@ def random_connected(n, num, den, seed):
 
 def random_tree(n, seed):
     return generate(FamilySpec("random_tree", (n,), seed))
+
+
+@st.composite
+def connected_graphs(draw, max_n=10):
+    """A connected graph on at most ``max_n`` vertices: a random spanning
+    tree, relabeled, plus no, a few, or about half of the other pairs."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    tree = {
+        tuple(sorted((label[draw(st.integers(0, v - 1))], label[v])))
+        for v in range(1, n)
+    }
+    others = [p for p in combinations(range(n), 2) if p not in tree]
+    kind = draw(st.sampled_from(["tree", "sparse", "dense"]))
+    if kind == "tree" or not others:
+        extra = []
+    elif kind == "sparse":
+        extra = draw(st.lists(st.sampled_from(others), max_size=n, unique=True))
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+        extra = [p for p, k in zip(others, keep) if k]
+    return Graph(n, sorted(tree) + extra)

@@ -164,3 +164,65 @@ def induced(edges, vertices):
         tuple(sorted((pos[a], pos[b]))) for a, b in edges if a in pos and b in pos
     ]
     return len(pos), sorted(kept)
+
+
+def factor_layers(n, edges):
+    """Layers of the Cartesian prime factors, from the definitions: the
+    classes of the transitive closure of Djokovic-Winkler Theta, tested pair
+    by pair (xy ~ uv iff d(x,u) + d(y,v) != d(x,v) + d(y,u)), and tau (two
+    edges at one vertex that lie on no chordless square together). Edges are
+    numbered by their position in ``edges``. Each class, in the order of its
+    lowest edge, gives a tuple of blocks: the vertex sets of the connected
+    components of its edges, as masks in the order of their lowest vertex.
+    () when there are fewer than two classes."""
+    edges = [tuple(e) for e in edges]
+    d = distance_matrix(n, edges)
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    label = list(range(len(edges)))
+
+    def merge(i, j):
+        old, new = label[i], label[j]
+        if old != new:
+            label[:] = [new if k == old else k for k in label]
+
+    for i, (x, y) in enumerate(edges):
+        for j, (u, v) in enumerate(edges):
+            if d[x][u] + d[y][v] != d[x][v] + d[y][u]:
+                merge(i, j)
+            shared = {x, y} & {u, v}
+            if i < j and shared:
+                (c,) = shared
+                (a,) = {x, y} - shared
+                (b,) = {u, v} - shared
+                on_square = b not in adj[a] and any(
+                    w != c and w not in adj[c] for w in adj[a] & adj[b]
+                )
+                if not on_square:
+                    merge(i, j)
+    classes = {}
+    for i, k in enumerate(label):
+        classes.setdefault(k, []).append(edges[i])
+    if len(classes) < 2:
+        return ()
+    partitions = []
+    for class_edges in classes.values():
+        blocks, seen = [], set()
+        for start in sorted({v for e in class_edges for v in e}):
+            if start in seen:
+                continue
+            block, stack = {start}, [start]
+            while stack:
+                a = stack.pop()
+                for e in class_edges:
+                    if a in e:
+                        (b,) = set(e) - {a}
+                        if b not in block:
+                            block.add(b)
+                            stack.append(b)
+            seen |= block
+            blocks.append(sum(1 << v for v in block))
+        partitions.append(tuple(blocks))
+    return tuple(partitions)

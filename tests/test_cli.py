@@ -7,7 +7,7 @@ import pytest
 
 import demkit.cli
 import demkit.graph
-from demkit import Graph, build, parse_edge_list, parse_expr, predicted_dem
+from demkit import build, parse_edge_list, parse_expr, predicted_dem
 from demkit.cli import main
 from demkit.exprs import MAX_NESTING
 
@@ -46,21 +46,13 @@ class TestDem:
         doc = json.loads(out)
         assert doc["greedy"] == [0, 1, 2] and doc["greedy_size"] == 3
 
-    def test_greedy_reuses_the_matrix(self, capsys, monkeypatch):
+    def test_greedy_reuses_the_matrix(self, capsys, bfs_sources):
         # the greedy set is the seed dem_number already computed: one BFS
         # per vertex, as without --greedy
-        calls = []
-        bfs = Graph.distances_from
-
-        def counting(self, source, removed=None):
-            calls.append(source)
-            return bfs(self, source, removed)
-
-        monkeypatch.setattr(Graph, "distances_from", counting)
         for fmt in ("json", "csv", "plain"):
-            calls.clear()
+            bfs_sources.clear()
             code, _, _ = run(capsys, "dem", "gen=cycle:24", "--greedy", "--format", fmt)
-            assert code == 0 and sorted(calls) == list(range(24))
+            assert code == 0 and sorted(bfs_sources) == list(range(24))
 
     def test_torus_past_the_cap(self, capsys):
         # C7 x C7 (49 vertices) closes within seconds with the layer bound

@@ -13,7 +13,7 @@ from demkit import (
 )
 
 import oracles
-from conftest import complete, cycle, path, random_connected, bipartite
+from conftest import complete, connected_graphs, cycle, path, random_connected, bipartite
 
 
 class TestParseEdgeList:
@@ -158,3 +158,15 @@ def test_all_pairs_agrees_with_single_source(seed):
     g = random_connected(8, 1, 2, seed)
     for v in range(g.n):
         assert list(g.distance_matrix[v]) == g.distances_from(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_levels_and_distances_match_the_oracle(g):
+    dist = oracles.distance_matrix(g.n, list(g.edges))
+    assert g.levels == tuple(
+        tuple(sum(1 << w for w in range(g.n) if row[w] == d) for d in range(max(row) + 1))
+        for row in dist
+    )
+    assert [list(row) for row in g.distance_matrix] == dist
+    assert [g.eccentricity(v) for v in range(g.n)] == [max(row) for row in dist]

@@ -36,6 +36,7 @@ from conftest import (
     bipartite,
     book,
     complete,
+    connected_graphs,
     cycle,
     path,
     random_connected,
@@ -124,55 +125,32 @@ class TestOracleEquivalence:
             cols = oracles.monitor_columns(g.n, list(g.edges))
             assert [set(mm.monitors(e)) for e in range(g.m)] == cols
 
-    def test_one_bfs_per_probe(self, monkeypatch):
-        calls = []
-        bfs = Graph.distances_from
-
-        def counting(self, source, removed=None):
-            calls.append(source)
-            return bfs(self, source, removed)
-
-        monkeypatch.setattr(Graph, "distances_from", counting)
+    def test_one_bfs_per_probe(self, bfs_sources):
         for g in (path(6), cycle(7), book(3), random_connected(12, 1, 2, 8)):
-            calls.clear()
+            bfs_sources.clear()
             monitor_matrix(g)
-            assert sorted(calls) == list(range(g.n))
+            assert sorted(bfs_sources) == list(range(g.n))
 
     @pytest.mark.parametrize("spec", ["path:24", "cycle:24", "book:22"])
-    def test_no_factorisation_distances_on_prime_graphs(self, monkeypatch, spec):
+    def test_no_factorisation_distances_on_prime_graphs(self, bfs_sources, spec):
         # each has an edge on no chordless square, so dem_number asks for
-        # the factor layers without computing one more distance row
+        # the factor layers without one more BFS
         g = build(parse_expr(spec))
-        calls = []
-        bfs = Graph.distances_from
-
-        def counting(self, source, removed=None):
-            calls.append(source)
-            return bfs(self, source, removed)
-
-        monkeypatch.setattr(Graph, "distances_from", counting)
         dem_number(g)
-        assert len(calls) == g.n
+        assert len(bfs_sources) == g.n
 
     @pytest.mark.parametrize(
         "spec",
         ["cartesian(cycle:4|cycle:6)", "hypercube:4", "cartesian(complete:4|complete:6)"],
     )
-    def test_one_set_of_distance_rows_on_products(self, monkeypatch, spec):
+    def test_one_set_of_distance_rows_on_products(self, bfs_sources, spec):
         # each passes the square test, so factor_layers reads distances too:
-        # the rows monitor_matrix has already computed
+        # the levels monitor_matrix has already computed
         assert factor_layers(build(parse_expr(spec)))
         g = build(parse_expr(spec))
-        calls = []
-        bfs = Graph.distances_from
-
-        def counting(self, source, removed=None):
-            calls.append(source)
-            return bfs(self, source, removed)
-
-        monkeypatch.setattr(Graph, "distances_from", counting)
+        bfs_sources.clear()
         dem_number(g)
-        assert sorted(calls) == list(range(g.n))
+        assert sorted(bfs_sources) == list(range(g.n))
 
     def test_solver_matches_exhaustive_search(self):
         for seed in range(12):
@@ -418,28 +396,6 @@ def test_endpoint_detection_property(seed):
     for eid, (u, v) in enumerate(g.edges):
         col = mm.cols[eid]
         assert (col >> u) & 1 and (col >> v) & 1
-
-
-@st.composite
-def connected_graphs(draw, max_n=10):
-    """A connected graph on at most ``max_n`` vertices: a random spanning
-    tree, relabeled, plus no, a few, or about half of the other pairs."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    label = draw(st.permutations(range(n)))
-    tree = {
-        tuple(sorted((label[draw(st.integers(0, v - 1))], label[v])))
-        for v in range(1, n)
-    }
-    others = [p for p in combinations(range(n), 2) if p not in tree]
-    kind = draw(st.sampled_from(["tree", "sparse", "dense"]))
-    if kind == "tree" or not others:
-        extra = []
-    elif kind == "sparse":
-        extra = draw(st.lists(st.sampled_from(others), max_size=n, unique=True))
-    else:
-        keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
-        extra = [p for p, k in zip(others, keep) if k]
-    return Graph(n, sorted(tree) + extra)
 
 
 @settings(max_examples=200, deadline=None)

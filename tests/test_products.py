@@ -9,7 +9,9 @@ from demkit import products
 from demkit.products import factor_layers
 
 import oracles
-from conftest import book, complete, cycle, path, random_connected, random_tree
+from conftest import (
+    book, complete, connected_graphs, cycle, path, random_connected, random_tree,
+)
 
 
 def induces(g, vertices, h):
@@ -202,6 +204,20 @@ class TestFactorLayers:
             g, expected = _product_layers(a, b)
             assert {frozenset(blocks) for blocks in factor_layers(g)} == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            connected_graphs(),
+            st.builds(
+                lambda a, b: cartesian(a, b)[0],
+                connected_graphs(max_n=5),
+                connected_graphs(max_n=5),
+            ),
+        )
+    )
+    def test_matches_the_definitional_oracle(self, g):
+        assert factor_layers(g) == oracles.factor_layers(g.n, g.edges)
+
     def test_composite_factors_split_into_their_primes(self):
         # C4 = K2 x K2 and Q4 = K2^4: one class per prime factor
         assert len(factor_layers(cartesian(cycle(4), cycle(6))[0])) == 3
@@ -223,37 +239,31 @@ class TestFactorLayers:
     @pytest.mark.parametrize("spec", ["bipartite:4:8", "bipartite:6:6"])
     def test_prime_graphs_stop_once_one_class_is_left(self, monkeypatch, spec):
         g = build(parse_expr(spec))
-        dist = g.distance_matrix
-        related = sum(  # Theta pairs, two _find calls each in a full pass
-            dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
-            for i, (x, y) in enumerate(g.edges)
-            for u, v in g.edges[i + 1:]
-        )
+        dist = oracles.distance_matrix(g.n, g.edges)
+        groups = {  # (near_x, near_y) of every edge, two cuts each in a full pass
+            tuple(
+                frozenset(w for w in range(g.n) if dist[a][w] < dist[b][w])
+                for a, b in ((x, y), (y, x))
+            )
+            for x, y in g.edges
+        }
         calls = []
-        find = products._find
+        cut = products._cut
 
-        def counting(parent, x):
-            calls.append(x)
-            return find(parent, x)
+        def counting(inc, vertices):
+            calls.append(vertices)
+            return cut(inc, vertices)
 
-        monkeypatch.setattr(products, "_find", counting)
+        monkeypatch.setattr(products, "_cut", counting)
         assert factor_layers(g) == ()
-        assert 0 < len(calls) < 2 * related
+        assert 0 < len(calls) < 2 * len(groups)
 
-    def test_square_test_comes_before_any_distance(self, monkeypatch):
-        calls = []
-        bfs = Graph.distances_from
-
-        def counting(self, source, removed=None):
-            calls.append(source)
-            return bfs(self, source, removed)
-
-        monkeypatch.setattr(Graph, "distances_from", counting)
+    def test_square_test_comes_before_any_distance(self, bfs_sources):
         for spec in ("cycle:24", "book:22", "join(path:6|cycle:8)", "complete:6"):
             g = build(parse_expr(spec))  # fresh: no cached distances
-            calls.clear()
+            bfs_sources.clear()
             assert factor_layers(g) == ()
-            assert calls == [], spec
+            assert bfs_sources == [], spec
         # K3,3 has every edge on a chordless square, so its classes are computed
         factor_layers(build(parse_expr("bipartite:3:3")))
-        assert calls
+        assert bfs_sources
