@@ -19,7 +19,6 @@ column and is the one deliberately non-reproducible option.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -50,16 +49,27 @@ USAGE_ERRORS = (
 )
 
 
+def _at_least(low: int):
+    """The argparse type of a cap: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
 def _default_max_n() -> int:
     env = os.environ.get("DEMKIT_MAX_N")
     if env is not None:
         try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-        print(f"demkit: ignoring bad DEMKIT_MAX_N={env!r}", file=sys.stderr)
+            return _at_least(1)(env)
+        except argparse.ArgumentTypeError:
+            print(f"demkit: ignoring bad DEMKIT_MAX_N={env!r}", file=sys.stderr)
     return DEFAULT_MAX_N
 
 
@@ -85,6 +95,12 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
+def _emit_json(doc, output: str | None) -> None:
+    import json  # here, so that CSV and plain reports never load it
+
+    _emit(json.dumps(doc, indent=2) + "\n", output)
+
+
 def _csv(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
@@ -106,7 +122,7 @@ def _run_dem(args: argparse.Namespace) -> int:
         doc["greedy"] = list(result.greedy)
         doc["greedy_size"] = len(result.greedy)
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit_json(doc, args.output)
     elif args.format == "csv":
         header = ["n", "m", "dem", "witness", "nodes_explored"]
         row = [
@@ -153,7 +169,7 @@ def _run_cover(args: argparse.Namespace) -> int:
             "cover": result.value,
             "witness": list(result.witness),
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit_json(doc, args.output)
     elif args.format == "csv":
         rows = [
             ["n", "m", "cover", "witness"],
@@ -185,7 +201,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             if args.timings:
                 doc["runtime"] = round(r.runtime, 3)
             docs.append(doc)
-        _emit(json.dumps(docs, indent=2) + "\n", args.output)
+        _emit_json(docs, args.output)
     elif args.format == "csv":
         header = ["instance", "predicted", "computed", "verdict", "rule"]
         if args.timings:
@@ -241,7 +257,7 @@ def _run_compare(args: argparse.Namespace) -> int:
             }
             for r in reports
         ]
-        _emit(json.dumps(docs, indent=2) + "\n", args.output)
+        _emit_json(docs, args.output)
     elif args.format == "csv":
         rows = [["graph", "n", "m", "dem", "dim", "edim", "dim_s"]]
         rows += [
@@ -271,7 +287,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default=fmt)
         p.add_argument("-o", "--output", default=None, help="write the report to a file")
         p.add_argument(
-            "--max-n", type=int, default=max_n,
+            "--max-n", type=_at_least(1), default=max_n,
             help="exact-solver cap on the vertex count (env DEMKIT_MAX_N)",
         )
 
@@ -279,7 +295,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file or gen=<expression>")
     p.add_argument("--all-min-sets", action="store_true", help="enumerate every minimum set")
     p.add_argument("--greedy", action="store_true", help="also report the greedy heuristic set")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--enum-cap", type=_at_least(0), default=DEFAULT_ENUMERATION_CAP)
     common(p, "json")
     p.set_defaults(run=_run_dem)
 

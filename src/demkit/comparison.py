@@ -11,9 +11,8 @@ lexicographically smallest minimum set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import hitting
 from .errors import CapExceededError
@@ -109,8 +108,7 @@ def strong_metric_dimension(
     return hitting.lexicographic_minimum(columns)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """All four distance parameters of one graph, each with the
     lexicographically smallest minimum set the solver found."""
 

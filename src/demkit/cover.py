@@ -8,8 +8,7 @@ the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import hitting
 from .errors import CapExceededError, GraphError
@@ -17,8 +16,7 @@ from .graph import Graph
 from .monitoring import DEFAULT_MAX_N
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     value: int
     witness: tuple[int, ...]
 

@@ -14,8 +14,7 @@ printing stay far below the interpreter's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import products
 from .errors import ExpressionError
@@ -26,8 +25,7 @@ PRODUCT_OPS = ("join", "corona", "cluster", "cartesian")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(NamedTuple):
     """Declarative description of one binary operation on two expressions."""
 
     op: str

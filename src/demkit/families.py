@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DisconnectedGraphError, GenerationError
@@ -21,8 +20,7 @@ from .graph import Graph
 RANDOM_CONNECTED_MAX_TRIES = 1000
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Declarative description of one generated graph."""
 
     kind: str

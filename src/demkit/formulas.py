@@ -20,9 +20,9 @@ process by each route.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from . import hitting, products
 from .cover import vertex_cover_number
@@ -37,8 +37,7 @@ SUITES = ("formulas", "bounds", "sharpness", "all")
 _SUITE_MAX_ORDER = 24
 
 
-@dataclass(frozen=True)
-class PredictedValue:
+class PredictedValue(NamedTuple):
     """A predicted exact value or interval, with the rule that produced it."""
 
     kind: str  # "exact" | "interval"
@@ -65,8 +64,7 @@ class PredictedValue:
         return f"{self.lower}..{self.upper}"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     instance: str
     predicted: PredictedValue | None
     computed: int | None

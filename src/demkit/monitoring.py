@@ -29,8 +29,7 @@ independent oracle for the parent-count rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import hitting, products
 from .errors import CapExceededError, GraphError
@@ -40,8 +39,7 @@ DEFAULT_MAX_N = 24
 DEFAULT_ENUMERATION_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class MonitorMatrix:
+class MonitorMatrix(NamedTuple):
     """Boolean incidence "vertex x monitors edge e" over V x E.
 
     ``rows[x]`` is a bitmask over edge ids, ``cols[e]`` a bitmask over vertex
@@ -182,8 +180,7 @@ def greedy_dem(
     return tuple(hitting.greedy_hitting(matrix.cols))
 
 
-@dataclass(frozen=True)
-class DemResult:
+class DemResult(NamedTuple):
     """Exact monitoring number, one witness, the greedy seed and solver stats."""
 
     n: int

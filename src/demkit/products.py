@@ -11,7 +11,7 @@ them from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import GraphError
 from .graph import Graph
@@ -21,28 +21,21 @@ from .graph import Graph
 Origin = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class ProductVertexMap:
+class ProductVertexMap(NamedTuple):
     """Bijection between product vertex ids and their factor coordinates."""
 
     operation: str
     g_order: int
     h_order: int
     origins: tuple[Origin, ...]
-    _ids: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_ids", {o: p for p, o in enumerate(self.origins)}
-        )
 
     def origin(self, pid: int) -> Origin:
         return self.origins[pid]
 
     def vertex(self, tag: str, copy: int, index: int) -> int:
         try:
-            return self._ids[(tag, copy, index)]
-        except KeyError:
+            return self.origins.index((tag, copy, index))
+        except ValueError:
             raise GraphError(f"no product vertex with origin {(tag, copy, index)}") from None
 
     # Cartesian accessors -------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -103,6 +106,9 @@ class TestDem:
         assert run(capsys, "dem", "gen=cycle:28")[0] == 0
         monkeypatch.setenv("DEMKIT_MAX_N", "10")
         assert run(capsys, "dem", "gen=cycle:12")[0] == 2
+        monkeypatch.setenv("DEMKIT_MAX_N", "0")
+        code, _, err = run(capsys, "dem", "gen=cycle:12")
+        assert code == 0 and "ignoring bad DEMKIT_MAX_N='0'" in err
 
 
 class TestGen:
@@ -298,3 +304,39 @@ class TestUsageErrors:
         bad.write_text("0 1\n2 3\n")
         code, _, err = run(capsys, "dem", str(bad))
         assert code == 2 and "disconnected" in err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--max-n", "-5"], "argument --max-n: expected an integer >= 1, got '-5'"),
+            (["--max-n", "0"], "argument --max-n: expected an integer >= 1, got '0'"),
+            (
+                ["--all-min-sets", "--enum-cap", "-1"],
+                "argument --enum-cap: expected an integer >= 0, got '-1'",
+            ),
+        ],
+    )
+    def test_caps_out_of_range_are_rejected_by_the_parser(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["dem", "gen=cycle:5", *flags])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: demkit dem ") and err.endswith(f"error: {message}\n")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI process pays for what importing demkit.cli loads; diffing
+    # sys.modules leaves out whatever the interpreter's site set-up loaded
+    probe = (
+        "import sys; before = set(sys.modules); import demkit.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(demkit.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    added = set(proc.stdout.split())
+    assert proc.returncode == 0 and "demkit.cli" in added, proc.stderr
+    assert not added & {"dataclasses", "inspect", "json"}

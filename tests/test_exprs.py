@@ -73,7 +73,7 @@ class TestCanonical:
     )
     def test_round_trip(self, text, expected):
         expr = parse_expr(text)
-        assert canonical(expr) == expected
+        assert canonical(expr) == str(expr) == expected
         assert parse_expr(canonical(expr)) == expr
 
 

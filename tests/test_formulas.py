@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -223,7 +222,7 @@ class TestSuites:
 
     def test_suites_never_walk_for_a_witness(self, monkeypatch):
         def fields(records):
-            return [replace(r, runtime=0.0) for r in records]
+            return [r._replace(runtime=0.0) for r in records]
 
         expected = fields(run_suite("all"))
 
