@@ -324,7 +324,7 @@ class TestUsageErrors:
         assert err.startswith("usage: demkit dem ") and err.endswith(f"error: {message}\n")
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_skips_dataclasses_inspect_and_json():
     # every CLI process pays for what importing demkit.cli loads; diffing
     # sys.modules leaves out whatever the interpreter's site set-up loaded
     probe = (
