@@ -35,7 +35,6 @@ from .formulas import (
 from .graph import INFINITE, Graph, format_edge_list, parse_edge_list
 from .monitoring import (
     DemResult,
-    MonitorMatrix,
     dem_number,
     dem_value,
     greedy_dem,
@@ -63,7 +62,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "INFINITE",
-    "MonitorMatrix",
     "PredictedValue",
     "ProductSpec",
     "ProductVertexMap",

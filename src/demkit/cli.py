@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .comparison import compare_graph
 from .cover import vertex_cover_number
@@ -46,6 +45,7 @@ USAGE_ERRORS = (
     CapExceededError,
     EnumerationCapExceededError,
     OSError,
+    UnicodeError,
 )
 
 
@@ -84,7 +84,8 @@ def _load_graph(token: str, max_n: int) -> tuple[Graph, str]:
         if n > max_n:
             raise CapExceededError(token, n, max_n)
         return build(expr), canonical(expr)
-    text = Path(token).read_text()
+    with open(token) as fh:
+        text = fh.read()
     return parse_edge_list(text, max_n=max_n), token
 
 
@@ -92,7 +93,8 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        with open(output, "w") as fh:
+            fh.write(text)
 
 
 def _emit_json(doc, output: str | None) -> None:

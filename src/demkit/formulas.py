@@ -129,7 +129,7 @@ def _cover_of(g: Graph, max_n: int) -> int:
 # -- the registry ------------------------------------------------------------
 
 
-def _family_prediction(expr: FamilySpec, max_n: int) -> PredictedValue | None:
+def _family_prediction(expr: FamilySpec) -> PredictedValue | None:
     kind, p = expr.kind, expr.params
     if kind in ("path", "random_tree"):
         if p[0] == 1:
@@ -234,7 +234,7 @@ def predicted_dem(
         expr = parse_expr(expr)
     if isinstance(expr, FamilySpec):
         if mode == "best":
-            pred = _family_prediction(expr, max_n)
+            pred = _family_prediction(expr)
             if pred is not None:
                 return pred
         return _fallback_prediction(expr, max_n)

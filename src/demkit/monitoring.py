@@ -3,8 +3,8 @@
 A probe x monitors edge e when removing e changes the distance from x to some
 vertex y, i.e. e lies on every shortest x-y path. The monitoring number of a
 graph is the smallest probe set under which every edge is monitored; it is
-exactly the minimum hitting set of the per-edge monitor lists collected in
-the monitor matrix.
+exactly the minimum hitting set of the per-edge monitor sets: the columns
+that ``monitor_matrix`` returns, one vertex mask per edge.
 
 What a probe monitors follows from one BFS. Call u a parent of v when u is a
 neighbour of v with d(x,u) = d(x,v) - 1. Then x monitors edge uv, with
@@ -39,34 +39,6 @@ DEFAULT_MAX_N = 24
 DEFAULT_ENUMERATION_CAP = 100_000
 
 
-class MonitorMatrix(NamedTuple):
-    """Boolean incidence "vertex x monitors edge e" over V x E.
-
-    ``rows[x]`` is a bitmask over edge ids, ``cols[e]`` a bitmask over vertex
-    ids. Both endpoints of every edge always appear in its column: removing
-    an edge strictly increases the distance between its endpoints.
-    """
-
-    n: int
-    m: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    def monitors(self, eid: int) -> tuple[int, ...]:
-        """Vertices that monitor the given edge."""
-        return tuple(hitting.bits(self.cols[eid]))
-
-    def monitored(self, x: int) -> tuple[int, ...]:
-        """Edge ids monitored by the given vertex."""
-        return tuple(hitting.bits(self.rows[x]))
-
-    def covers(self, vertices: Iterable[int]) -> bool:
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        return all(col & mask for col in self.cols)
-
-
 def _validate_probes(g: Graph, probes: Iterable[int]) -> list[int]:
     out = sorted(set(probes))
     for x in out:
@@ -88,25 +60,22 @@ def monitored_pairs(g: Graph, probes: Iterable[int], eid: int) -> set[tuple[int,
     return pairs
 
 
-def _row(g: Graph, x: int, candidates: Iterable[int]) -> int:
+def _row(g: Graph, x: int) -> int:
     base = g.distances_from(x)
     row = 0
-    for eid in candidates:
+    for eid in range(g.m):
         if g.distances_from(x, removed=eid) != base:
             row |= 1 << eid
     return row
 
 
-def _single_parent(
-    g: Graph, levels_of: Sequence[tuple[int, ...]]
-) -> tuple[list[int], list[int]]:
-    """Rows and columns of the probes with BFS level masks ``levels_of``, by
+def _single_parent(g: Graph, levels_of: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Monitor columns of the probes with BFS level masks ``levels_of``, by
     the single-parent rule in one pass; the i-th probe is bit i of a column."""
     adj, inc = g.neighbor_masks, g.incident_masks
-    rows = [0] * len(levels_of)
     cols = [0] * g.m
     for x, levels in enumerate(levels_of):
-        row, bit = 0, 1 << x
+        bit = 1 << x
         for above, level in zip(levels, levels[1:]):
             while level:
                 low = level & -level
@@ -114,70 +83,68 @@ def _single_parent(
                 p = adj[v] & above
                 if not p & (p - 1):  # one parent: x monitors the edge to it
                     eid = (inc[v] & inc[p.bit_length() - 1]).bit_length() - 1
-                    row |= 1 << eid
                     cols[eid] |= bit
                 level ^= low
-        rows[x] = row
-    return rows, cols
+    return tuple(cols)
 
 
 def monitored_edges(g: Graph, x: int) -> set[int]:
     """Edge ids monitored by vertex x (single-parent rule, one BFS)."""
-    rows, _ = _single_parent(g, [g.levels_from(x)])
-    return set(hitting.bits(rows[0]))
+    cols = _single_parent(g, [g.levels_from(x)])
+    return {eid for eid, col in enumerate(cols) if col}
 
 
 def monitored_edges_naive(g: Graph, x: int) -> set[int]:
     """Oracle twin of :func:`monitored_edges`: re-checks every edge."""
     if not 0 <= x < g.n:
         raise GraphError(f"vertex {x} out of range")
-    return set(hitting.bits(_row(g, x, range(g.m))))
+    return set(hitting.bits(_row(g, x)))
 
 
-def _matrix(g: Graph, rows: list[int]) -> MonitorMatrix:
+def _matrix(g: Graph, rows: list[int]) -> tuple[int, ...]:
     cols = [0] * g.m
     for x, row in enumerate(rows):
         for eid in hitting.bits(row):
             cols[eid] |= 1 << x
-    return MonitorMatrix(g.n, g.m, tuple(rows), tuple(cols))
+    return tuple(cols)
 
 
-def monitor_matrix(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> MonitorMatrix:
-    """Complete V x E monitoring incidence from ``g.levels``: one BFS per
-    probe, shared with every other reader of the graph's distances
-    (``products.factor_layers``)."""
+def monitor_matrix(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
+    """The monitor columns: entry e is the mask of the vertices monitoring
+    edge e, its two endpoints always among them. One BFS per probe, from
+    ``g.levels``, shared with ``products.factor_layers``."""
     if g.n > max_n:
         raise CapExceededError("monitor matrix", g.n, max_n)
-    rows, cols = _single_parent(g, g.levels)
-    return MonitorMatrix(g.n, g.m, tuple(rows), tuple(cols))
+    return _single_parent(g, g.levels)
 
 
-def monitor_matrix_naive(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> MonitorMatrix:
-    """Oracle twin of :func:`monitor_matrix` without candidate pruning."""
+def monitor_matrix_naive(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
+    """Oracle twin of :func:`monitor_matrix`: one row per probe by the
+    definition, transposed into the columns."""
     if g.n > max_n:
         raise CapExceededError("monitor matrix", g.n, max_n)
-    return _matrix(g, [_row(g, x, range(g.m)) for x in range(g.n)])
+    return _matrix(g, [_row(g, x) for x in range(g.n)])
 
 
 def is_dem_set(
-    g: Graph, vertices: Iterable[int], matrix: MonitorMatrix | None = None
+    g: Graph, vertices: Iterable[int], matrix: tuple[int, ...] | None = None
 ) -> bool:
     """True iff every edge is monitored by some vertex of the set."""
-    probes = _validate_probes(g, vertices)
+    mask = 0
+    for v in _validate_probes(g, vertices):
+        mask |= 1 << v
     if matrix is None:
         matrix = monitor_matrix(g, max_n=g.n)
-    return matrix.covers(probes)
+    return all(col & mask for col in matrix)
 
 
-def greedy_dem(
-    g: Graph, matrix: MonitorMatrix | None = None
-) -> tuple[int, ...]:
+def greedy_dem(g: Graph, matrix: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Greedy monitoring set: ``hitting.greedy_hitting`` over the monitor
     columns, i.e. repeatedly the vertex monitoring the most uncovered edges
     (ties: lowest id). Valid, not necessarily minimum."""
     if matrix is None:
         matrix = monitor_matrix(g, max_n=g.n)
-    return tuple(hitting.greedy_hitting(matrix.cols))
+    return tuple(hitting.greedy_hitting(matrix))
 
 
 class DemResult(NamedTuple):
@@ -214,7 +181,7 @@ def _solve(
     matrix = monitor_matrix(g, max_n=max_n)
     greedy = greedy_dem(g, matrix)
     parts = products.factor_layers(g)
-    cols = hitting.reduce_columns(matrix.cols)
+    cols = hitting.reduce_columns(matrix)
     value, nodes = hitting.minimum_hitting_set(
         cols, upper=len(greedy), parts=parts
     )

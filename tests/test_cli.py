@@ -305,6 +305,15 @@ class TestUsageErrors:
         code, _, err = run(capsys, "dem", str(bad))
         assert code == 2 and "disconnected" in err
 
+    @pytest.mark.parametrize("command", ["dem", "cover", "compare"])
+    def test_file_that_is_not_text(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe0 1\n")
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("demkit: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -325,8 +334,9 @@ class TestUsageErrors:
 
 
 def test_import_skips_dataclasses_inspect_and_json():
-    # every CLI process pays for what importing demkit.cli loads; diffing
-    # sys.modules leaves out whatever the interpreter's site set-up loaded
+    # every CLI process pays for what importing demkit.cli loads; -S keeps
+    # site from preloading modules, and diffing sys.modules leaves out the
+    # interpreter's own start-up
     probe = (
         "import sys; before = set(sys.modules); import demkit.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -335,8 +345,12 @@ def test_import_skips_dataclasses_inspect_and_json():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     added = set(proc.stdout.split())
     assert proc.returncode == 0 and "demkit.cli" in added, proc.stderr
-    assert not added & {"dataclasses", "inspect", "json"}
+    assert not added & {"dataclasses", "inspect", "json", "pathlib"}

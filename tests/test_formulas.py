@@ -14,6 +14,7 @@ from demkit import (
     hitting,
     join,
     monitor_matrix,
+    monitored_edges,
     monitored_pairs,
     parse_expr,
     predicted_dem,
@@ -293,8 +294,6 @@ def layer_locality_counterexamples(g, h):
     """
     product, pm = cartesian(g, h)
     pmat = monitor_matrix(product, max_n=product.n)
-    gmat = monitor_matrix(g, max_n=g.n)
-    hmat = monitor_matrix(h, max_n=h.n)
     bad = []
     for eid, (a, b) in enumerate(product.edges):
         (ia, ja), (ib, jb) = pm.pair(a), pm.pair(b)
@@ -308,7 +307,7 @@ def layer_locality_counterexamples(g, h):
             inside = {pm.vertex_at(i, ja): i for i in range(g.n)}
         for x in range(product.n):
             if x not in layer:
-                if (pmat.rows[x] >> eid) & 1:
+                if (pmat[eid] >> x) & 1:
                     bad.append(("outside-probe", eid, x))
         for x, fx in inside.items():
             got = monitored_pairs(product, {x}, eid)
@@ -323,13 +322,13 @@ def layer_locality_counterexamples(g, h):
     for x in range(product.n):
         i, j = pm.pair(x)
         expected = set()
-        for fe in hmat.monitored(j):
+        for fe in monitored_edges(h, j):
             u, v = h.edges[fe]
             expected.add(product.edge_id(pm.vertex_at(i, u), pm.vertex_at(i, v)))
-        for fe in gmat.monitored(i):
+        for fe in monitored_edges(g, i):
             u, v = g.edges[fe]
             expected.add(product.edge_id(pm.vertex_at(u, j), pm.vertex_at(v, j)))
-        if set(pmat.monitored(x)) != expected:
+        if {eid for eid, col in enumerate(pmat) if col >> x & 1} != expected:
             bad.append(("row-mismatch", x))
     return bad
 

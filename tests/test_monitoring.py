@@ -24,6 +24,7 @@ from demkit import (
     vertex_cover_number,
 )
 from demkit.hitting import (
+    bits,
     lexicographically_smallest,
     minimum_hitting_set,
     partition_bound,
@@ -79,26 +80,26 @@ class TestMonitoredEdges:
 
 class TestMonitorMatrix:
     def test_path_all_ones(self):
-        mm = monitor_matrix(path(3))
-        assert all(row == 0b11 for row in mm.rows)
+        # every probe monitors both edges
+        assert monitor_matrix(path(3)) == (0b111, 0b111)
 
     def test_cycle_rows_are_incident_edges(self):
         g = cycle(4)
         mm = monitor_matrix(g)
         for x in range(4):
             incident = {e for e, (u, v) in enumerate(g.edges) if x in (u, v)}
-            assert set(mm.monitored(x)) == incident
+            assert {e for e, col in enumerate(mm) if col >> x & 1} == incident
 
     def test_book_hub_rows_cover_all_columns(self):
         g = book(2)
         mm = monitor_matrix(g)
-        assert mm.rows[0] | mm.rows[1] == (1 << g.m) - 1
+        assert len(mm) == g.m and all(col & 0b11 for col in mm)
 
     def test_endpoints_always_monitor_their_edge(self):
         for g in (cycle(6), book(3), bipartite(2, 4), complete(5)):
             mm = monitor_matrix(g)
             for eid, (u, v) in enumerate(g.edges):
-                assert u in mm.monitors(eid) and v in mm.monitors(eid)
+                assert mm[eid] >> u & 1 and mm[eid] >> v & 1
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -123,7 +124,7 @@ class TestOracleEquivalence:
         for g in (cycle(5), book(3), bipartite(2, 3), random_connected(7, 1, 2, 77)):
             mm = monitor_matrix(g)
             cols = oracles.monitor_columns(g.n, list(g.edges))
-            assert [set(mm.monitors(e)) for e in range(g.m)] == cols
+            assert [set(bits(col)) for col in mm] == cols
 
     def test_one_bfs_per_probe(self, bfs_sources):
         for g in (path(6), cycle(7), book(3), random_connected(12, 1, 2, 8)):
@@ -288,7 +289,7 @@ class TestDemNumber:
         # the partition bound at the root meets the minimal seed: no branching
         g = build(parse_expr(spec))
         matrix = monitor_matrix(g, max_n=g.n)
-        cols = reduce_columns(matrix.cols)
+        cols = reduce_columns(matrix)
         upper = len(greedy_dem(g, matrix))
         assert upper > value  # the greedy set alone would leave a gap
         assert minimum_hitting_set(
@@ -394,7 +395,7 @@ def test_endpoint_detection_property(seed):
     g = random_connected(7, 1, 2, seed)
     mm = monitor_matrix(g)
     for eid, (u, v) in enumerate(g.edges):
-        col = mm.cols[eid]
+        col = mm[eid]
         assert (col >> u) & 1 and (col >> v) & 1
 
 
@@ -403,9 +404,7 @@ def test_endpoint_detection_property(seed):
 def test_parent_count_rows_match_the_oracles(g):
     mm = monitor_matrix(g)
     assert mm == monitor_matrix_naive(g)
-    assert [set(mm.monitors(e)) for e in range(g.m)] == oracles.monitor_columns(
-        g.n, list(g.edges)
-    )
+    assert [set(bits(col)) for col in mm] == oracles.monitor_columns(g.n, list(g.edges))
     for x in range(g.n):
         assert monitored_edges(g, x) == monitored_edges_naive(g, x)
 
@@ -437,7 +436,7 @@ def test_value_stage_is_dem_numbers_value(n, num, seed):
 def _without_partitions(g):
     """Value, witness and nodes of the search with no partition bound, on
     the reduced columns that ``dem_number`` solves."""
-    cols = reduce_columns(monitor_matrix(g, max_n=g.n).cols)
+    cols = reduce_columns(monitor_matrix(g, max_n=g.n))
     value, nodes = minimum_hitting_set(cols)
     return value, lexicographically_smallest(cols, value), nodes
 
@@ -461,7 +460,7 @@ PRIME_SPECS = [
 def test_partition_bound_at_the_root_is_the_papers_lower_bound(left, right):
     a, b = build(parse_expr(left)), build(parse_expr(right))
     g, _ = cartesian(a, b)
-    cols = reduce_columns(monitor_matrix(g, max_n=g.n).cols)
+    cols = reduce_columns(monitor_matrix(g, max_n=g.n))
     expected = max(a.n * dem_number(b).value, b.n * dem_number(a).value)
     assert partition_bound(cols, factor_layers(g)) == expected
 
@@ -486,7 +485,7 @@ def test_partitions_change_no_answer_on_products(a, b):
 def test_witness_with_layers_is_the_partition_free_walks(spec, max_n):
     g = build(parse_expr(spec))
     result = dem_number(g, max_n=max_n)
-    cols = monitor_matrix(g, max_n=max_n).cols
+    cols = monitor_matrix(g, max_n=max_n)
     assert result.witness == lexicographically_smallest(cols, result.value)
     columns = oracles.monitor_columns(g.n, list(g.edges))
     assert all(col & set(result.witness) for col in columns)
