@@ -85,7 +85,10 @@ def _load_graph(token: str, max_n: int) -> tuple[Graph, str]:
             raise CapExceededError(token, n, max_n)
         return build(expr), canonical(expr)
     with open(token) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{token}: {exc}") from None
     return parse_edge_list(text, max_n=max_n), token
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 from . import hitting
 from .errors import CapExceededError
 from .graph import Graph
-from .monitoring import DEFAULT_MAX_N, dem_number
+from .monitoring import DEFAULT_MAX_N, _validate_probes, dem_number
 
 
 def _check_cap(g: Graph, max_n: int, what: str) -> None:
@@ -30,7 +30,7 @@ def _vertex_pairs(g: Graph) -> list[tuple[int, int]]:
 
 
 def is_metric_generator(g: Graph, vertices: Iterable[int]) -> bool:
-    s = set(vertices)
+    s = _validate_probes(g, vertices)
     d = g.distance_matrix
     return all(
         any(d[u][x] != d[v][x] for x in s) for u, v in _vertex_pairs(g)
@@ -59,7 +59,7 @@ def _edge_distances(g: Graph) -> list[list[int]]:
 
 
 def is_edge_metric_generator(g: Graph, vertices: Iterable[int]) -> bool:
-    s = set(vertices)
+    s = _validate_probes(g, vertices)
     ed = _edge_distances(g)
     return all(
         any(ed[e1][x] != ed[e2][x] for x in s)
@@ -87,7 +87,7 @@ def _strongly_resolves(d, u: int, v: int, x: int) -> bool:
 
 
 def is_strong_resolving_set(g: Graph, vertices: Iterable[int]) -> bool:
-    s = set(vertices)
+    s = _validate_probes(g, vertices)
     d = g.distance_matrix
     return all(
         any(_strongly_resolves(d, u, v, x) for x in s)

@@ -37,12 +37,13 @@ under the feasibility test each operation passes it. The enumeration passes
 the disjoint-column bound, cheaper when every set is listed anyway. The
 witness passes an exact test and takes the first set without backtracking.
 One search serves its whole walk. ``_feasible``, which also answers
-``exists_hitting_set``, takes the columns left unhit past a candidate vertex,
-deduplicated but not reduced (the reduction is quadratic, ``_solve`` is exact
-on any columns, and sorted they give the reduced columns' disjoint bound). It
-rejects by the disjoint-column bound, then by the partition bound, else
-``_solve`` decides. The set a solve finds is kept as a completion: its lowest
-vertex is accepted next untested, so most feasible candidates cost nothing.
+``exists_hitting_set``, takes the columns left unhit past a candidate vertex
+(masked, ids never shift), deduplicated but not reduced (the reduction is
+quadratic, ``_solve`` is exact on any columns, and sorted they give the
+reduced columns' disjoint bound). It rejects by the disjoint-column bound,
+then by the partition bound, else ``_solve`` decides. The set a solve finds
+is kept as a completion: its lowest vertex is accepted next untested, so
+most feasible candidates cost nothing.
 
 Where the disjoint-column bound fails to prune, ``_solve`` can also try a
 partition bound (``partition_bound``). Take a partition of the vertices into
@@ -71,7 +72,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceededError
 
-# partitions of the vertices, each a sequence of disjoint block masks
+# partitions of the vertices, each a table whose entry v is the mask of the
+# block holding v, or 0 if v is in no block
 Partitions = Sequence[Sequence[int]]
 
 
@@ -261,11 +263,9 @@ def partition_bound(
     for blocks in parts:
         inside: dict[int, list[int]] = {}
         for c in cols:
-            for b in blocks:
-                if c & b:  # the only block that can hold c
-                    if not c & ~b:
-                        inside.setdefault(b, []).append(c)
-                    break
+            b = blocks[(c & -c).bit_length() - 1]  # c's only possible block
+            if not c & ~b:
+                inside.setdefault(b, []).append(c)
         total = 0
         for b, group in inside.items():
             low = (b & -b).bit_length() - 1
@@ -405,12 +405,12 @@ def _lexicographic_walk(
     Tries, in id order, the vertices past the last one chosen that lie in the
     union of the unhit columns, and descends only where
     ``feasible(columns, budget, parts)`` accepts the columns left unhit,
-    restricted to later vertices, within the rest of the budget; the blocks
-    of ``parts`` are restricted to later vertices alike. ``feasible``
-    returns False to reject, True to accept, or a completion: a nonzero mask
-    of later vertices hitting those columns within the budget. The walk then
-    descends into the completion's lowest vertex with no test, keeping the
-    rest; vertices below it are still tested.
+    masked to later vertices, within the rest of the budget; ids never shift
+    and ``parts`` passes unchanged. ``feasible`` returns False to reject,
+    True to accept, or a completion: a nonzero mask of later vertices
+    hitting those columns within the budget. The walk then descends into the
+    completion's lowest vertex with no test, keeping the rest; vertices
+    below it are still tested.
     """
     chosen: list[int] = []
 
@@ -432,17 +432,14 @@ def _lexicographic_walk(
             if completion & -completion == low:
                 kept = completion ^ low
             else:
-                shift = v + 1  # ids shift, order is kept
-                later = [c >> shift for c in rest]
+                above = -(low << 1)  # the vertices after v
+                later = [c & above for c in rest]
                 if 0 in later:
                     continue
-                later_parts = [
-                    [b >> shift for b in blocks if b >> shift] for blocks in parts
-                ]
-                found = feasible(later, budget, later_parts)
+                found = feasible(later, budget, parts)
                 if not found:
                     continue
-                kept = 0 if found is True else found << shift
+                kept = 0 if found is True else found
             chosen.append(v)
             yield from walk(rest, v + 1, kept)
             chosen.pop()

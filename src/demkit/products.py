@@ -6,7 +6,7 @@ and layers by structure instead of raw ids.
 
 :func:`factor_layers` goes the other way for the Cartesian product: it finds
 the layers of the prime factors of a plain graph, with no expression to read
-them from.
+them from, as one vertex -> layer table per factor.
 """
 
 from __future__ import annotations
@@ -155,17 +155,6 @@ def _on_chordless_squares(g: Graph, adj: tuple[int, ...]) -> bool:
     return True
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], x: int, y: int) -> None:
-    parent[_find(parent, x)] = _find(parent, y)
-
-
 def _cut(inc: tuple[int, ...], vertices: int) -> int:
     """Edges with exactly one end in the vertex mask: the XOR of the
     incident-edge masks ``inc`` of its vertices."""
@@ -178,15 +167,17 @@ def _cut(inc: tuple[int, ...], vertices: int) -> int:
 
 
 def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The layers of each Cartesian prime factor of g, as vertex masks.
+    """The layers of each Cartesian prime factor of g, one partition per
+    factor, each a table of n block masks: entry v is the layer holding v,
+    or 0 if no edge of that factor meets v.
 
     The edge classes of the prime factors are the transitive closure of two
     relations (Feder 1992; Imrich and Peterin, "Recognizing Cartesian
     products in linear time", Discrete Math. 2007): Djokovic-Winkler Theta,
     xy ~ uv iff d(x,u) + d(y,v) != d(x,v) + d(y,u), and tau, two edges at
-    one vertex that lie on no chordless square together. Each class gives one
-    partition, its blocks the connected components of the class's edges:
-    the copies of that factor.
+    one vertex that lie on no chordless square together. Each class, in the
+    order of its lowest edge, gives one partition, its blocks the connected
+    components of the class's edges: the copies of that factor.
 
     Theta is computed in groups, with no test of edge pairs. With
     ``a(w) = d(x,w) - d(y,w)``, which is -1, 0 or 1 for an edge xy, the
@@ -194,22 +185,25 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     cut by ``near_x = {w : a(w) = -1}`` or by ``near_y = {w : a(w) = 1}``,
     both read off the BFS levels of x and y (``Graph.levels``). Every copy of
     a factor edge has the same two sets, so a product computes about one cut
-    per factor edge. The classes close by a search over edge masks.
+    per factor edge. Tau is read off the neighbour masks: at an end a of xy,
+    with b the other end, an edge az joins the class when z is a neighbour
+    of b, or when no neighbour of z lies in N(b) outside N[a]. Only unclassed
+    edges az are tested: one already classed would have drawn xy into its
+    class. Each class closes by one search over edge masks.
 
-    Returns ``()`` for a prime graph (as soon as the first Theta class holds
-    every edge, since tau only merges classes), and for a graph with an edge
-    on no chordless square without computing a distance.
+    Returns ``()`` for a prime graph (as soon as the first class holds every
+    edge), and for a graph with an edge on no chordless square without
+    computing a distance.
     """
     adj = g.neighbor_masks
     if g.m == 0 or not _on_chordless_squares(g, adj):
         return ()
     edges, levels, inc = g.edges, g.levels, g.incident_masks
     cuts: dict[tuple[int, int], int] = {}
-    classes = list(range(len(edges)))  # union-find over edge ids
+    partitions = []
     unclassed = full = (1 << len(edges)) - 1
-    while unclassed:  # Theta
-        first = unclassed & -unclassed
-        closed = frontier = first
+    while unclassed:  # one class per pass
+        closed = frontier = unclassed & -unclassed
         while frontier:
             low = frontier & -frontier
             frontier ^= low
@@ -222,35 +216,37 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
             related = cuts.get((near_x, near_y))
             if related is None:
                 related = cuts[near_x, near_y] = _cut(inc, near_x) | _cut(inc, near_y)
+            for a, b in (x, y), (y, x):  # tau: az on no chordless a b w z
+                far = adj[b] & ~adj[a] & ~(1 << a)  # the candidates for w
+                around = inc[a] & unclassed & ~(closed | related)
+                while around:
+                    e = around & -around
+                    around ^= e
+                    z = sum(edges[e.bit_length() - 1]) - a  # the other end
+                    if (adj[b] >> z) & 1 or not adj[z] & far:
+                        related |= e
             frontier |= related & ~closed
             closed |= related
             if closed == full:
                 return ()
         unclassed &= ~closed
-        root = first.bit_length() - 1
+        along = [0] * g.n  # each vertex's neighbours by an edge of the class
         while closed:
             low = closed & -closed
-            classes[low.bit_length() - 1] = root
             closed ^= low
-    for x in range(g.n):
-        around = g.neighbors(x)
-        for k, y in enumerate(around):
-            for z in around[k + 1:]:  # tau: no w closes a chordless x y w z
-                if (adj[y] >> z) & 1 or not adj[y] & adj[z] & ~adj[x] & ~(1 << x):
-                    _union(classes, g.edge_id(x, y), g.edge_id(x, z))
-    members: dict[int, list[tuple[int, int]]] = {}
-    for i, e in enumerate(edges):
-        members.setdefault(_find(classes, i), []).append(e)
-    if len(members) < 2:
-        return ()
-    partitions = []
-    for class_edges in members.values():
-        parent = list(range(g.n))
-        for u, v in class_edges:
-            _union(parent, u, v)
-        blocks: dict[int, int] = {}
-        for u, v in class_edges:
-            root = _find(parent, u)
-            blocks[root] = blocks.get(root, 0) | 1 << u | 1 << v
-        partitions.append(tuple(sorted(blocks.values(), key=lambda b: b & -b)))
+            x, y = edges[low.bit_length() - 1]
+            along[x] |= 1 << y
+            along[y] |= 1 << x
+        table = [0] * g.n
+        for v, near in enumerate(along):
+            if near and not table[v]:
+                block, todo, members = 0, 1 << v, []
+                while todo:  # grow the block along the class
+                    low = todo & -todo
+                    block |= low
+                    members.append(low.bit_length() - 1)
+                    todo = (todo | along[members[-1]]) & ~block
+                for u in members:
+                    table[u] = block
+        partitions.append(tuple(table))
     return tuple(partitions)

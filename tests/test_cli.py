@@ -307,11 +307,14 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["dem", "cover", "compare"])
     def test_file_that_is_not_text(self, capsys, tmp_path, command):
+        good = tmp_path / "good.txt"
+        good.write_text("0 1\n")
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe0 1\n")
-        code, out, err = run(capsys, command, str(bad))
+        files = [str(good), str(bad)] if command == "compare" else [str(bad)]
+        code, out, err = run(capsys, command, *files)
         assert code == 2 and out == ""
-        assert err.startswith("demkit: ") and err.count("\n") == 1
+        assert err.startswith(f"demkit: {bad}: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -4,10 +4,13 @@ import oracles
 from demkit import (
     CapExceededError,
     Graph,
+    GraphError,
     cartesian,
     compare_graph,
     dem_number,
     edge_metric_dimension,
+    is_dem_set,
+    is_vertex_cover,
     metric_dimension,
     strong_metric_dimension,
 )
@@ -90,6 +93,23 @@ class TestWitnesses:
                 for drop in witness:
                     rest = [v for v in witness if v != drop]
                     assert not predicate(g, rest)
+
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            is_metric_generator,
+            is_edge_metric_generator,
+            is_strong_resolving_set,
+            is_dem_set,
+            is_vertex_cover,
+        ],
+    )
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_checkers_refuse_vertices_that_do_not_exist(self, check, vertex):
+        # -1 would index another vertex, 4 = n past the end of path:4
+        with pytest.raises(GraphError):
+            check(path(4), [vertex])
 
 
 class TestCrossChecks:

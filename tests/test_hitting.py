@@ -159,18 +159,19 @@ def test_walk_takes_its_vertices_from_the_columns(sets, first):
 
 @st.composite
 def partitioned_columns(draw):
-    """Nonempty columns over n <= 10 vertices and up to three partitions;
-    a vertex labelled -1 lies in no block of that partition."""
+    """Nonempty columns over n <= 10 vertices and up to three partitions,
+    each a table whose entry v is the block holding v; a vertex labelled -1
+    lies in no block of that partition, and its entry is 0."""
     n = draw(st.integers(1, 10))
     cols = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=12))
     parts = []
     for _ in range(draw(st.integers(0, 3))):
         labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
-        blocks: dict[int, int] = {}
+        blocks = [0] * 4
         for v, label in enumerate(labels):
             if label >= 0:
-                blocks[label] = blocks.get(label, 0) | 1 << v
-        parts.append(tuple(blocks.values()))
+                blocks[label] |= 1 << v
+        parts.append(tuple(blocks[label] if label >= 0 else 0 for label in labels))
     return n, cols, tuple(parts)
 
 
@@ -181,12 +182,31 @@ def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
     first = _first_hitting_set(cols, n)
     size = len(first)
     assert partition_bound(cols, parts) <= size
-    assert partition_bound(cols, (((1 << n) - 1,),)) == size  # one block: exact
+    assert partition_bound(cols, (((1 << n) - 1,) * n,)) == size  # one block: exact
     value, nodes = minimum_hitting_set(cols, parts=parts)
     assert value == size and nodes <= minimum_hitting_set(cols)[1]
     for budget in range(size - 2, size + 2):
         assert exists_hitting_set(cols, budget, parts) == (budget >= size)
     assert lexicographically_smallest(cols, size, parts) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_columns())
+def test_partition_bound_matches_its_definition(case):
+    # max over partitions of the sum, over distinct blocks, of the hitting
+    # number of the columns lying wholly inside the block
+    n, cols, parts = case
+    expected = max(
+        (
+            sum(
+                len(_first_hitting_set([c for c in cols if not c & ~b], n))
+                for b in set(blocks) - {0}
+            )
+            for blocks in parts
+        ),
+        default=0,
+    )
+    assert partition_bound(cols, parts) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,7 +290,8 @@ def test_disjoint_bound_needs_no_reduction(case):
 
 
 def test_walk_restricts_blocks_as_it_restricts_columns():
-    # ids shift down past the chosen vertex; a block left empty is dropped
+    # columns keep their ids, masked to the vertices past the chosen one;
+    # the partitions pass unchanged
     seen = []
 
     def feasible(cols, budget, parts):
@@ -278,9 +299,9 @@ def test_walk_restricts_blocks_as_it_restricts_columns():
         return exists_hitting_set(cols, budget, parts)
 
     cols = masks({0, 1}, {2, 3})
-    parts = ((0b0011, 0b1100),)
+    parts = ((0b0011, 0b0011, 0b1100, 0b1100),)
     assert next(_lexicographic_walk(cols, 2, feasible, parts)) == (0, 2)
-    assert seen == [([0b110], [[0b001, 0b110]]), ([], [[0b1]])]
+    assert seen == [([0b1100], parts), ([], parts)]
 
 
 def test_walk_descends_into_a_completion_untested():
@@ -288,11 +309,11 @@ def test_walk_descends_into_a_completion_untested():
 
     def feasible(cols, budget, parts):
         seen.append((cols, budget))
-        return 0b010  # later vertex 1: vertex 2 once shifted back
+        return 0b100  # vertex 2
 
     cols = masks({0, 1}, {2, 3})
     assert next(_lexicographic_walk(cols, 2, feasible)) == (0, 2)
-    assert seen == [([0b110], 1)]
+    assert seen == [([0b1100], 1)]
 
 
 def test_witness_solves_once_when_completions_carry_it(monkeypatch):
@@ -308,7 +329,7 @@ def test_witness_solves_once_when_completions_carry_it(monkeypatch):
     assert lexicographically_smallest(cols, 3) == (0, 2, 4)
     # vertex 0 is solved and its completion carries the walk through 2 and
     # 4; the disjoint bound rejects 1 and 3
-    assert calls == [masks({0, 1}, {1, 2}, {2, 3}, {3, 4})]
+    assert calls == [masks({1, 2}, {2, 3}, {3, 4}, {4, 5})]
 
 
 def _greedy_by_rows(cols, n):

@@ -216,7 +216,11 @@ class TestFactorLayers:
         )
     )
     def test_matches_the_definitional_oracle(self, g):
-        assert factor_layers(g) == oracles.factor_layers(g.n, g.edges)
+        tables = tuple(  # entry v: the oracle's block holding v, else 0
+            tuple(next((b for b in blocks if b >> v & 1), 0) for v in range(g.n))
+            for blocks in oracles.factor_layers(g.n, g.edges)
+        )
+        assert factor_layers(g) == tables
 
     def test_composite_factors_split_into_their_primes(self):
         # C4 = K2 x K2 and Q4 = K2^4: one class per prime factor
