@@ -93,11 +93,18 @@ def _load_graph(token: str, max_n: int) -> tuple[Graph, str]:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write the report to stdout, or to the file ``output`` as the bytes
+    stdout would print (UTF-8, names that are not UTF-8 passed through as
+    their raw bytes); the file is created only once the report is encoded."""
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        return
+    try:
+        data = text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError as exc:
+        raise UnicodeError(f"{output}: {exc}") from None
+    with open(output, "wb") as fh:
+        fh.write(data)
 
 
 def _emit_json(doc, output: str | None) -> None:

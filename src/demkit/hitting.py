@@ -32,18 +32,22 @@ candidate mask narrowed from the top digit down, so no column is decoded
 into vertices. ``_components`` grows the first column's support until no
 column joins it, and runs its merge loop only when the columns really split.
 
-``_lexicographic_walk`` is the one loop that lists minimum sets in order,
-under the feasibility test each operation passes it. The enumeration passes
-the disjoint-column bound, cheaper when every set is listed anyway. The
-witness passes an exact test and takes the first set without backtracking.
-One search serves its whole walk. ``_feasible``, which also answers
-``exists_hitting_set``, takes the columns left unhit past a candidate vertex
-(masked, ids never shift), deduplicated but not reduced (the reduction is
-quadratic, ``_solve`` is exact on any columns, and sorted they give the
-reduced columns' disjoint bound). It rejects by the disjoint-column bound,
-then by the partition bound, else ``_solve`` decides. The set a solve finds
-is kept as a completion: its lowest vertex is accepted next untested, so
-most feasible candidates cost nothing.
+``_lexicographic_walk`` is the one loop that lists minimum sets in order:
+a depth-first search in id order, include first, that descends where the
+test each operation passes it accepts and backtracks where no set lies
+below. Every rejection is proven, so the first set it reaches is the
+lexicographically smallest. The enumeration passes the disjoint-column
+bound, cheaper when every set is listed anyway. The witness's test
+(``lexicographically_smallest``) takes the columns left unhit past a
+candidate vertex (masked, ids never shift), deduplicated but not reduced
+(the reduction is quadratic, the search is exact on any columns, and sorted
+they give the reduced columns' disjoint bound). It decides by the bounds and
+the pruned greedy set wherever they can. On products the partition bound is
+tight, so a candidate whose bound meets the budget is accepted undecided: a
+wrong branch dies a level or two down by its bounds, and each prefix is
+searched once. Only a bound with slack, where bounds alone prune weakly,
+leaves the decision to the branch and bound. One search, with one memo of
+block values, serves the walk.
 
 Where the disjoint-column bound fails to prune, ``_solve`` can also try a
 partition bound (``partition_bound``). Take a partition of the vertices into
@@ -65,7 +69,7 @@ solved once; the searches of one witness walk share one memo.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from itertools import islice
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -305,7 +309,23 @@ def _solve(
         # the components' sets are disjoint: their sum is their union
         total, hit = map(sum, zip(*(_solve(c, search, parts=parts) for c in comps)))
         return total, hit
-    best_set = _minimal(cols, greedy_hitting(cols))
+    return _search_below(
+        cols, search, _minimal(cols, greedy_hitting(cols)), cap, target, parts
+    )
+
+
+def _search_below(
+    cols: Sequence[int],
+    search: _Search,
+    seed: int,
+    cap: int | None,
+    target: int,
+    parts: Partitions,
+) -> tuple[int, int | None]:
+    """The branch and bound of :func:`_solve`, started from the hitting set
+    ``seed`` (a vertex mask) on columns that need not form one component;
+    ``cap``, ``target`` and ``parts`` act as there."""
+    best_set = seed
     best = best_set.bit_count()
     if cap is not None and cap < best:
         best, best_set = cap, None
@@ -370,28 +390,14 @@ def minimum_hitting_set(
     return value, search.nodes
 
 
-def _feasible(
-    cols: Sequence[int], budget: int, parts: Partitions, search: _Search
-) -> bool | int:
-    """False if no hitting set of size <= budget exists, else the set found
-    (a vertex mask), or True if that set is empty. The bounds reject first,
-    then ``_solve`` searches the deduplicated, unreduced columns."""
-    cols = sorted(set(cols))
-    if disjoint_lower_bound(cols) > budget:
-        return False
-    if parts and partition_bound(cols, parts, search.memo) > budget:
-        return False
-    found, hit = _solve(cols, search, budget + 1, budget, parts)
-    return found <= budget and (hit or True)
-
-
 def exists_hitting_set(
     columns: Sequence[int], budget: int, parts: Partitions = ()
 ) -> bool:
     """True iff some hitting set of size <= budget exists."""
     if budget < 0 or any(c == 0 for c in columns):
         return False
-    return bool(_feasible(columns, budget, parts, _Search()))
+    found, _ = _solve(sorted(set(columns)), _Search(), budget + 1, budget, parts)
+    return found <= budget
 
 
 def _lexicographic_walk(
@@ -406,9 +412,10 @@ def _lexicographic_walk(
     union of the unhit columns, and descends only where
     ``feasible(columns, budget, parts)`` accepts the columns left unhit,
     masked to later vertices, within the rest of the budget; ids never shift
-    and ``parts`` passes unchanged. ``feasible`` returns False to reject,
-    True to accept, or a completion: a nonzero mask of later vertices
-    hitting those columns within the budget. The walk then descends into the
+    and ``parts`` passes unchanged. ``feasible`` returns False to reject
+    (no set lies below), True to descend (the walk backtracks if no set
+    lies below), or a completion: a nonzero mask of later vertices hitting
+    those columns within the budget. The walk then descends into the
     completion's lowest vertex with no test, keeping the rest; vertices
     below it are still tested.
     """
@@ -451,9 +458,33 @@ def lexicographically_smallest(
     columns: Sequence[int], size: int, parts: Partitions = ()
 ) -> tuple[int, ...]:
     """The lexicographically smallest hitting set of exactly the given
-    (minimum) size, as a sorted tuple of vertex ids."""
-    feasible = partial(_feasible, search=_Search())  # one memo for the walk
-    for first in _lexicographic_walk(columns, size, feasible, parts):
+    (minimum) size, as a sorted tuple of vertex ids.
+
+    The walk's test rejects by the larger of the disjoint-column and the
+    partition bound, and accepts with the pruned greedy set as completion
+    when that set fits. A bound equal to the budget accepts undecided: the
+    walk descends, and backtracks if no set lies below. Only a bound with
+    slack leaves the decision to the branch and bound, started from that
+    greedy set; the set it finds is a completion too.
+    """
+    search = _Search()  # one memo for the walk
+
+    def test(cols: Sequence[int], budget: int, parts: Partitions) -> bool | int:
+        cols = sorted(set(cols))
+        bound = disjoint_lower_bound(cols)
+        if parts and bound <= budget:
+            bound = max(bound, partition_bound(cols, parts, search.memo))
+        if bound > budget:
+            return False
+        seed = _minimal(cols, greedy_hitting(cols))
+        if seed.bit_count() <= budget:
+            return seed or True
+        if bound == budget:
+            return True
+        found, hit = _search_below(cols, search, seed, budget + 1, budget, parts)
+        return found <= budget and hit
+
+    for first in _lexicographic_walk(columns, size, test, parts):
         return first
     raise ValueError("no hitting set of the requested size exists")
 

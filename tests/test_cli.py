@@ -317,6 +317,44 @@ class TestUsageErrors:
         assert err.startswith(f"demkit: {bad}: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file names are bytes")
+    def test_output_of_a_report_naming_a_file_that_is_not_utf8(self, tmp_path):
+        # compare's report carries the name as given; the output file holds
+        # the bytes stdout prints, which passes such a name through
+        name = os.fsencode(tmp_path) + b"/g\xff.txt"
+        try:
+            with open(name, "w") as fh:
+                fh.write("0 1\n1 2\n")
+        except OSError:
+            pytest.skip("the filesystem refuses a name holding byte 0xff")
+        target = tmp_path / "out.csv"
+        command = ["compare", os.fsdecode(name), "--format", "csv"]
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:surrogateescape")
+        src = str(Path(demkit.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "demkit.cli", *command, *extra],
+                env=env,
+                capture_output=True,
+                timeout=60,
+            )
+            for extra in ([], ["--output", str(target)])
+        ]
+        assert [(p.returncode, p.stderr) for p in runs] == [(0, b""), (0, b"")]
+        assert b"g\xff.txt" in runs[0].stdout and runs[1].stdout == b""
+        assert target.read_bytes() == runs[0].stdout
+
+    def test_report_that_cannot_be_encoded(self, capsys, monkeypatch, tmp_path):
+        # a lone surrogate has no bytes: exit 2 naming the output file, and
+        # no file is left behind
+        monkeypatch.setattr(demkit.cli, "_csv", lambda rows: "\ud800\n")
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, "compare", "gen=path:3", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"demkit: {target}: ") and err.count("\n") == 1
+        assert not target.exists()
+
     @pytest.mark.parametrize(
         "flags,message",
         [

@@ -316,20 +316,90 @@ def test_walk_descends_into_a_completion_untested():
     assert seen == [([0b1100], 1)]
 
 
-def test_witness_solves_once_when_completions_carry_it(monkeypatch):
+def _recording(monkeypatch, name):
+    """Record the positional arguments of every call to ``hitting.<name>``."""
     calls = []
-    solve = hitting._solve
+    original = getattr(hitting, name)
 
-    def counting(cols, *args, **kwargs):
-        calls.append(cols)
-        return solve(cols, *args, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(hitting, "_solve", counting)
+    monkeypatch.setattr(hitting, name, recording)
+    return calls
+
+
+def test_witness_needs_no_solve_when_the_greedy_set_fits(monkeypatch):
+    solves = _recording(monkeypatch, "_search_below")
+    bounds = _recording(monkeypatch, "disjoint_lower_bound")
     cols = masks({0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5})
     assert lexicographically_smallest(cols, 3) == (0, 2, 4)
-    # vertex 0 is solved and its completion carries the walk through 2 and
-    # 4; the disjoint bound rejects 1 and 3
-    assert calls == [masks({1, 2}, {2, 3}, {3, 4}, {4, 5})]
+    # past vertex 0 the greedy set {2, 4} fits the budget of 2: its
+    # completion carries the walk through 2 and 4; the disjoint bound
+    # rejects 1 and 3
+    assert solves == []
+    assert bounds == [
+        (masks({1, 2}, {2, 3}, {3, 4}, {4, 5}),),
+        (masks({2, 3}, {3, 4}, {4, 5}),),
+        (masks({4, 5}),),
+    ]
+
+
+def test_witness_solves_once_when_completions_carry_it(monkeypatch):
+    solves = _recording(monkeypatch, "_search_below")
+    splits = _recording(monkeypatch, "_solve")
+    greedy = _recording(monkeypatch, "greedy_hitting")
+    later = masks({1, 2, 4}, {1, 3, 5}, {2, 4, 6}, {2, 3, 7}, {4, 6, 7})
+    cols = masks({0}) + later
+    assert lexicographically_smallest(cols, 3) == (0, 3, 4)
+    # past vertex 0 (budget 2) the disjoint bound 1 leaves slack and the
+    # pruned greedy set {1, 2, 4} is too large: one branch and bound, started
+    # from that set, finds {3, 4}, whose completion carries the walk
+    searched, _, seed, *_ = solves[0]
+    assert (searched, seed) == (later, masks({1, 2, 4})[0])
+    # every other search solves a component below it; the walk's test
+    # builds its greedy set once
+    assert len(solves) == 1 + len(splits)
+    assert greedy.count((later,)) == 1
+
+
+def test_witness_backtracks_below_a_tight_candidate(monkeypatch):
+    solves = _recording(monkeypatch, "_search_below")
+    bounds = _recording(monkeypatch, "disjoint_lower_bound")
+    ring = masks({1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5})
+    cols = masks({0, 1}) + ring
+    assert lexicographically_smallest(cols, 3) == (1, 2, 4)
+    assert _first_hitting_set(cols, 6) == (1, 2, 4)
+    # past vertex 0 the ring needs 3 vertices, but its disjoint bound is the
+    # budget of 2 and its greedy set {1, 3, 4} is too large: 0 is accepted
+    # undecided, the bound rejects 1 and 2 below it (3, 4 and 5 leave a
+    # column unhittable), and the walk backtracks to 1 with no solve
+    assert solves == []
+    assert bounds == [
+        (sorted(ring),),  # vertex 0, budget 2: tight
+        (masks({2, 3}, {3, 4}, {4, 5}),),  # 1 below 0, budget 1: rejected
+        (masks({3, 4}, {5}, {4, 5}),),  # 2 below 0, budget 1: rejected
+        (masks({2, 3}, {3, 4}, {4, 5}),),  # vertex 1: greedy {3, 4} fits
+        (masks({3, 4}, {4, 5}),),  # 2 below 1: greedy {4} fits
+        (masks({4, 5}),),  # 3 below 2, budget 0: rejected
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(partitioned_columns())
+# few draws reach an undecided or a slack test: past 0 the greedy set
+# {1, 2, 3} is too large and the bound 2 tight, yet {4, 5} fits
+@example(case=(6, masks({0, 2}, {1, 4}, {3, 4}, {2, 5}, {3, 5}), ()))
+# past 0 the bound leaves slack (test_witness_solves_once_...)
+@example(
+    case=(8, masks({0}, {1, 2, 4}, {1, 3, 5}, {2, 4, 6}, {2, 3, 7}, {4, 6, 7}), ())
+)
+def test_witness_is_the_first_minimum_set_in_combinations_order(case):
+    # the walk accepts tight candidates undecided and backtracks below them
+    n, cols, parts = case
+    first = _first_hitting_set(cols, n)
+    for columns in (cols, reduce_columns(cols)):
+        assert lexicographically_smallest(columns, len(first), parts) == first
 
 
 def _greedy_by_rows(cols, n):

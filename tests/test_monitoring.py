@@ -296,6 +296,42 @@ class TestDemNumber:
             cols, upper=upper, parts=factor_layers(g)
         ) == (value, 1)
 
+    # witnesses of the walk that decided every candidate by an exact solve
+    # (11 s for the second); the walk that descends under a tight bound
+    # must reach the same sets
+    THREE_FACTOR_WITNESSES = {
+        "cartesian(path:3|cartesian(cycle:5|cycle:5))": (
+            0, 1, 5, 6, 12, 13, 17, 19, 23, 24, 25, 27, 31, 32, 35, 39, 43, 44,
+            46, 48, 53, 54, 58, 59, 61, 62, 65, 66, 70, 72,
+        ),
+        "cartesian(cycle:4|cartesian(cycle:5|cycle:5))": (
+            0, 1, 2, 5, 6, 7, 10, 11, 12, 18, 19, 23, 24, 28, 29, 33, 34, 38,
+            39, 40, 41, 42, 45, 46, 47, 50, 51, 52, 55, 56, 57, 60, 61, 62, 68,
+            69, 73, 74, 78, 79, 83, 84, 88, 89, 90, 91, 92, 95, 96, 97,
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", list(THREE_FACTOR_WITNESSES))
+    def test_three_factor_witness_is_pinned(self, spec):
+        g = build(parse_expr(spec))
+        result = dem_number(g, max_n=g.n)
+        assert result.witness == self.THREE_FACTOR_WITNESSES[spec]
+        assert result.value == len(result.witness)
+
+    def test_three_factor_witness_monitors_every_edge(self):
+        # re-checked from the definition; the oracle takes about 1.3 s here
+        spec = "cartesian(path:3|cartesian(cycle:5|cycle:5))"
+        g = build(parse_expr(spec))
+        witness = set(self.THREE_FACTOR_WITNESSES[spec])
+        assert all(c & witness for c in oracles.monitor_columns(g.n, list(g.edges)))
+
+    def test_three_cycles_of_six(self):
+        # no exact-solve walk finished here in 300 s
+        g = build(parse_expr("cartesian(cycle:6|cartesian(cycle:6|cycle:6))"))
+        result = dem_number(g, max_n=g.n)
+        assert result.value == 72 and len(result.witness) == 72
+        assert is_dem_set(g, result.witness)
+
     # (count, sha256 of repr(all_minimum_sets)): any change in the listed
     # sets or in their order shows here, where no report prints them all
     GOLDEN_ENUMERATIONS = {
