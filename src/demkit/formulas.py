@@ -32,6 +32,7 @@ from .graph import Graph
 from .monitoring import DEFAULT_MAX_N, DemResult, dem_number, dem_value
 
 SUITES = ("formulas", "bounds", "sharpness", "all")
+_MODES = ("best", "bounds")
 # the largest product order the suites list; fixed, so that raising the
 # solver cap leaves the suites and their reports as they are
 _SUITE_MAX_ORDER = 24
@@ -220,6 +221,11 @@ def _cartesian_prediction(expr: ProductSpec, max_n: int) -> PredictedValue:
     return _sandwich_prediction(expr, max_n)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+
+
 def predicted_dem(
     expr: GraphExpr | str, *, max_n: int = DEFAULT_MAX_N, mode: str = "best"
 ) -> PredictedValue:
@@ -228,8 +234,10 @@ def predicted_dem(
     ``mode="best"`` applies the most specific rule; ``mode="bounds"`` forces
     the interval-form rules (the product sandwich, the rooted-product and
     apex intervals, or the cover bound), which is what the bounds suite
-    exercises even where an exact formula exists.
+    exercises even where an exact formula exists. Any other mode raises
+    ``ValueError``.
     """
+    _check_mode(mode)
     if isinstance(expr, str):
         expr = parse_expr(expr)
     if isinstance(expr, FamilySpec):
@@ -283,7 +291,8 @@ def verify_instance(
     expr: GraphExpr | str, *, max_n: int = DEFAULT_MAX_N, mode: str = "best"
 ) -> VerificationRecord:
     """Build the instance, compute its exact monitoring number, and compare
-    with the registry prediction."""
+    with the registry prediction. ``mode`` is as in :func:`predicted_dem`."""
+    _check_mode(mode)
     start = time.perf_counter()
     if isinstance(expr, str):
         expr = parse_expr(expr)

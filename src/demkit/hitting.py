@@ -21,7 +21,8 @@ would otherwise leave a gap the search has to close by branching.
 No solve needs reduced columns, since a duplicate or a superset of another
 column changes no answer. The reduction (``reduce_columns``) is quadratic,
 so whoever builds a column set reduces it once and passes the result to
-every solve of it: the value search, the witness walk, the enumeration.
+every solve of it: the value search and the walk of the witness or the
+enumeration.
 
 The two per-call kernels of ``_solve`` work on whole masks.
 ``greedy_hitting``, the seed of every solve, keeps each vertex's count of remaining columns
@@ -32,17 +33,17 @@ candidate mask narrowed from the top digit down, so no column is decoded
 into vertices. ``_components`` grows the first column's support until no
 column joins it, and runs its merge loop only when the columns really split.
 
-``_lexicographic_walk`` is the one loop that lists minimum sets in order:
-a depth-first search in id order, include first, that descends where the
-test each operation passes it accepts and backtracks where no set lies
-below. Every rejection is proven, so the first set it reaches is the
-lexicographically smallest. The enumeration passes the disjoint-column
-bound, cheaper when every set is listed anyway. The witness's test
-(``lexicographically_smallest``) takes the columns left unhit past a
-candidate vertex (masked, ids never shift), deduplicated but not reduced
-(the reduction is quadratic, the search is exact on any columns, and sorted
-they give the reduced columns' disjoint bound). It decides by the bounds and
-the pruned greedy set wherever they can. On products the partition bound is
+``_lexicographic_walk`` is the one loop that lists minimum sets in order,
+for the witness (``lexicographically_smallest``, its first set) and the
+enumeration (``enumerate_minimum_sets``) alike: a depth-first search in id
+order, include first, that descends where its test accepts and backtracks
+where no set lies below. Every rejection is proven, so the first set it
+reaches is the lexicographically smallest and no minimum set is missed. The
+test takes the columns left unhit past a candidate vertex (masked, ids never
+shift), deduplicated but not reduced (the reduction is quadratic, the
+search is exact on any columns, and sorted they give the reduced columns'
+disjoint bound). It decides by the bounds and the pruned greedy set
+wherever they can. On products the partition bound is
 tight, so a candidate whose bound meets the budget is accepted undecided: a
 wrong branch dies a level or two down by its bounds, and each prefix is
 searched once. Only a bound with slack, where bounds alone prune weakly,
@@ -64,7 +65,7 @@ found, the bound at the root over the H-layers is |G|·dem(H), and the larger
 of the two partitions gives the paper's lower bound max(|G|·dem(H),
 |H|·dem(G)). The bound tightens as the search bans vertices. Block values
 are memoized with ids shifted down to the block, so copies of one layer are
-solved once; the searches of one witness walk share one memo.
+solved once; the searches of one walk share one memo.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import islice
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceededError
 
@@ -239,8 +240,8 @@ def _branching(cols: Sequence[int]) -> list[int]:
 
 class _Search:
     """What one solve shares across its recursion: the nodes explored and
-    the memo of block values for :func:`partition_bound`. A witness walk
-    keeps one for all its solves."""
+    the memo of block values for :func:`partition_bound`. A walk keeps one
+    for all its solves."""
 
     __slots__ = ("nodes", "memo")
 
@@ -401,24 +402,25 @@ def exists_hitting_set(
 
 
 def _lexicographic_walk(
-    columns: Sequence[int],
-    size: int,
-    feasible: Callable[..., bool | int],
-    parts: Partitions = (),
+    columns: Sequence[int], size: int, parts: Partitions = ()
 ) -> Iterator[tuple[int, ...]]:
     """Hitting sets of ``size`` (the minimum) vertices, in lexicographic order.
 
     Tries, in id order, the vertices past the last one chosen that lie in the
-    union of the unhit columns, and descends only where
-    ``feasible(columns, budget, parts)`` accepts the columns left unhit,
-    masked to later vertices, within the rest of the budget; ids never shift
-    and ``parts`` passes unchanged. ``feasible`` returns False to reject
-    (no set lies below), True to descend (the walk backtracks if no set
-    lies below), or a completion: a nonzero mask of later vertices hitting
-    those columns within the budget. The walk then descends into the
-    completion's lowest vertex with no test, keeping the rest; vertices
-    below it are still tested.
+    union of the unhit columns. Each candidate is tested on the columns it
+    leaves unhit, masked to later vertices (ids never shift) and
+    deduplicated, against the rest of the budget: rejected when the larger
+    of the disjoint-column and the partition bound exceeds the budget;
+    accepted with the pruned greedy set as completion when that set fits;
+    accepted undecided when the bound equals the budget (the walk descends,
+    and backtracks if no set lies below); and only when the bound leaves
+    slack, decided by the branch and bound started from that greedy set,
+    whose set is a completion too. The walk descends into a completion's
+    lowest vertex with no test, keeping the rest; vertices below it are
+    still tested. One search, with one memo of block values, serves the
+    walk.
     """
+    search = _Search()
     chosen: list[int] = []
 
     def walk(
@@ -443,10 +445,22 @@ def _lexicographic_walk(
                 later = [c & above for c in rest]
                 if 0 in later:
                     continue
-                found = feasible(later, budget, parts)
-                if not found:
+                later = sorted(set(later))
+                bound = disjoint_lower_bound(later)
+                if parts and bound <= budget:
+                    bound = max(bound, partition_bound(later, parts, search.memo))
+                if bound > budget:
                     continue
-                kept = 0 if found is True else found
+                kept = _minimal(later, greedy_hitting(later))
+                if kept.bit_count() > budget:
+                    if bound == budget:
+                        kept = 0  # undecided
+                    else:
+                        found, kept = _search_below(
+                            later, search, kept, budget + 1, budget, parts
+                        )
+                        if found > budget:
+                            continue
             chosen.append(v)
             yield from walk(rest, v + 1, kept)
             chosen.pop()
@@ -458,33 +472,9 @@ def lexicographically_smallest(
     columns: Sequence[int], size: int, parts: Partitions = ()
 ) -> tuple[int, ...]:
     """The lexicographically smallest hitting set of exactly the given
-    (minimum) size, as a sorted tuple of vertex ids.
-
-    The walk's test rejects by the larger of the disjoint-column and the
-    partition bound, and accepts with the pruned greedy set as completion
-    when that set fits. A bound equal to the budget accepts undecided: the
-    walk descends, and backtracks if no set lies below. Only a bound with
-    slack leaves the decision to the branch and bound, started from that
-    greedy set; the set it finds is a completion too.
-    """
-    search = _Search()  # one memo for the walk
-
-    def test(cols: Sequence[int], budget: int, parts: Partitions) -> bool | int:
-        cols = sorted(set(cols))
-        bound = disjoint_lower_bound(cols)
-        if parts and bound <= budget:
-            bound = max(bound, partition_bound(cols, parts, search.memo))
-        if bound > budget:
-            return False
-        seed = _minimal(cols, greedy_hitting(cols))
-        if seed.bit_count() <= budget:
-            return seed or True
-        if bound == budget:
-            return True
-        found, hit = _search_below(cols, search, seed, budget + 1, budget, parts)
-        return found <= budget and hit
-
-    for first in _lexicographic_walk(columns, size, test, parts):
+    (minimum) size, as a sorted tuple of vertex ids: the first set of
+    :func:`_lexicographic_walk`."""
+    for first in _lexicographic_walk(columns, size, parts):
         return first
     raise ValueError("no hitting set of the requested size exists")
 
@@ -498,14 +488,13 @@ def lexicographic_minimum(columns: Sequence[int]) -> tuple[int, tuple[int, ...]]
 
 
 def enumerate_minimum_sets(
-    columns: Sequence[int], size: int, cap: int
+    columns: Sequence[int], size: int, cap: int, parts: Partitions = ()
 ) -> tuple[tuple[int, ...], ...]:
     """All hitting sets of exactly the given (minimum) size, in lexicographic
-    order. Raises :class:`EnumerationCapExceededError` past ``cap`` sets."""
-    walk = _lexicographic_walk(
-        columns, size, lambda cols, budget, _: disjoint_lower_bound(cols) <= budget
-    )
-    sets = tuple(islice(walk, cap + 1))
+    order: the sets of :func:`_lexicographic_walk`, whose test prunes with
+    ``parts`` as the witness's does. Raises
+    :class:`EnumerationCapExceededError` past ``cap`` sets."""
+    sets = tuple(islice(_lexicographic_walk(columns, size, parts), cap + 1))
     if len(sets) > cap:
         raise EnumerationCapExceededError(cap)
     return sets

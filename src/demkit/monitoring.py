@@ -207,13 +207,14 @@ def dem_number(
     The witness is the lexicographically smallest minimum set; with
     ``enumerate_all`` every minimum set is listed (capped). Branch and bound
     over the hitting-set instance, seeded with the greedy monitoring set. The
-    search and the witness also prune with the partition bound over the
-    layers of the graph's Cartesian prime factors (``products.factor_layers``).
+    search, the witness and the enumeration also prune with the partition
+    bound over the layers of the graph's Cartesian prime factors
+    (``products.factor_layers``).
     The value comes from the same stage as :func:`dem_value`.
     """
     cols, greedy, parts, value, nodes = _solve(g, max_n)
     if enumerate_all:
-        sets = hitting.enumerate_minimum_sets(cols, value, enumeration_cap)
+        sets = hitting.enumerate_minimum_sets(cols, value, enumeration_cap, parts)
         witness = sets[0]
     else:
         sets = None

@@ -114,6 +114,13 @@ class TestVerifyInstance:
         assert rec.verdict == "fail"
         assert rec.predicted.lower == 12 and rec.computed == 10
 
+    @pytest.mark.parametrize("spec", ["cartesian(cycle:3|cycle:4)", "path:30"])
+    def test_unknown_mode(self, spec):
+        # an oversize instance is refused too, before it would be skipped
+        for check in (predicted_dem, verify_instance):
+            with pytest.raises(ValueError, match="'best', 'bounds'"):
+                check(spec, mode="bogus")
+
 
 class TestSharpness:
     def test_upper_equivalence_holds_without_uniqueness(self):

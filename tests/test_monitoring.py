@@ -350,11 +350,18 @@ class TestDemNumber:
         "cartesian(cycle:4|cycle:6)": (
             38, "e329f65378bbd3f890a41c6c610a611b5909ac328db4ee220eabdb9b145cd380"
         ),
+        "cartesian(cycle:6|cycle:6)": (
+            348, "f7c3bb4c41e60d5d550058b49ce69fb60f2b02b63240bcc1c5b90f52c48bb071"
+        ),
+        "cartesian(path:4|cycle:8)": (
+            744, "2b192a771cc09f8d49f7d4199db47c7ee48980efae80f3ac312b28e7ba7b268d"
+        ),
     }
 
     @pytest.mark.parametrize("spec", list(GOLDEN_ENUMERATIONS))
     def test_enumeration_is_pinned(self, spec):
-        sets = dem_number(build(parse_expr(spec)), enumerate_all=True).all_minimum_sets
+        g = build(parse_expr(spec))
+        sets = dem_number(g, enumerate_all=True, max_n=g.n).all_minimum_sets
         count, digest = self.GOLDEN_ENUMERATIONS[spec]
         assert len(sets) == count
         assert hashlib.sha256(repr(sets).encode()).hexdigest() == digest
