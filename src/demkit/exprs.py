@@ -81,6 +81,8 @@ def _parse_family(text: str) -> FamilySpec:
     seed: int | None = None
     for part in parts[1:]:
         if part.startswith("seed="):
+            if seed is not None:
+                raise ExpressionError(f"more than one seed in {text!r}")
             seed = _parse_int(part[5:], "seed")
         elif "/" in part:
             num, den = part.split("/", 1)

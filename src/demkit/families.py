@@ -182,6 +182,8 @@ def _family(spec: FamilySpec) -> Family:
         )
     if family.seeded and spec.seed is None:
         raise GenerationError(f"{spec.kind} requires a seed")
+    if not family.seeded and spec.seed is not None:
+        raise GenerationError(f"{spec.kind} takes no seed")
     return family
 
 

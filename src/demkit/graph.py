@@ -4,26 +4,57 @@ Vertices are dense integer ids ``0..n-1``. Edges get canonical ids: the
 position of the ``(min, max)`` endpoint pair in the sorted edge tuple, stable
 across runs. Vertex and edge sets are bitmasks over these ids.
 
-Hop distances come from one level-synchronous BFS per source over the
-neighbour masks (:meth:`Graph.levels_from`): the next level is the OR of the
-frontier's neighbour masks less every vertex already reached. The level masks
-of all sources (:attr:`Graph.levels`) are computed once per graph and feed
-the distance matrix, the eccentricities, the monitor matrix and the factor
-layers. :meth:`Graph.distances_from` is a separate queue BFS that can remove
-one edge; disconnection is then encoded as :data:`INFINITE`, which compares
-strictly greater than (and unequal to) every finite hop count.
+The neighbour masks are the graph's one adjacency, and one level-synchronous
+BFS over them (``_levels``) its one search: the next level is the OR of the
+frontier's neighbour masks less every vertex already reached. It checks
+connectivity at construction and yields :meth:`Graph.levels_from`. The level
+masks of all sources (:attr:`Graph.levels`) are computed once per graph and
+feed the distance matrix, the eccentricities, the monitor matrix and the
+factor layers. :meth:`Graph.distances_from` runs the same BFS, on a copy of
+the masks with the edge's two bits cleared when it removes one edge;
+disconnection is then encoded as :data:`INFINITE`, which compares strictly
+greater than (and unequal to) every finite hop count.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, DisconnectedGraphError, GraphError
 
 INFINITE = math.inf
+
+
+def _levels(adj: Sequence[int], source: int) -> list[int]:
+    """The level masks of a BFS from ``source`` over the neighbour masks
+    ``adj``: entry d holds the vertices at distance d."""
+    frontier = seen = 1 << source
+    levels = [frontier]
+    while True:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            return levels
+        seen |= frontier
+        levels.append(frontier)
+
+
+def _distances(levels: Iterable[int], n: int) -> list:
+    """Hop distances read off level masks; ``INFINITE`` where no level
+    reaches."""
+    dist: list = [INFINITE] * n
+    for d, level in enumerate(levels):
+        while level:
+            low = level & -level
+            dist[low.bit_length() - 1] = d
+            level ^= low
+    return dist
 
 
 class Graph:
@@ -45,50 +76,34 @@ class Graph:
             canon.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj = [0] * n
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._edge_ids = {e: i for i, e in enumerate(self.edges)}
-        self._check_connected()
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        # each vertex's neighbours as a vertex mask
+        self.neighbor_masks: tuple[int, ...] = tuple(adj)
+        unreached = (1 << n) - 1 - sum(_levels(adj, 0))
+        if unreached:
+            raise DisconnectedGraphError(0, (unreached & -unreached).bit_length() - 1)
 
     @property
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.neighbor_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_ids
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        return bool(self.neighbor_masks[u] >> v & 1)
 
     def edge_id(self, u: int, v: int) -> int:
         """Canonical id of edge ``{u, v}``."""
-        try:
-            return self._edge_ids[(u, v) if u < v else (v, u)]
-        except KeyError:
-            raise GraphError(f"no edge between {u} and {v}") from None
-
-    def _check_connected(self) -> None:
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        reached = 1
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    reached += 1
-                    queue.append(v)
-        if reached != self.n:
-            stranded = next(v for v in range(self.n) if not seen[v])
-            raise DisconnectedGraphError(0, stranded)
+        if not self.has_edge(u, v):
+            raise GraphError(f"no edge between {u} and {v}")
+        return (self.incident_masks[u] & self.incident_masks[v]).bit_length() - 1
 
     def distances_from(self, source: int, removed: int | None = None) -> list:
         """BFS hop distances from ``source``, optionally with one edge removed.
@@ -99,29 +114,15 @@ class Graph:
         """
         if not 0 <= source < self.n:
             raise GraphError(f"vertex {source} out of range")
-        skip_u = skip_v = -1
+        adj: Sequence[int] = self.neighbor_masks
         if removed is not None:
             if not 0 <= removed < len(self.edges):
                 raise GraphError(f"edge id {removed} out of range")
-            skip_u, skip_v = self.edges[removed]
-        dist: list = [INFINITE] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for v in self._adj[u]:
-                if (u == skip_u and v == skip_v) or (u == skip_v and v == skip_u):
-                    continue
-                if dist[v] == INFINITE:
-                    dist[v] = du + 1
-                    queue.append(v)
-        return dist
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Each vertex's neighbours as a vertex mask."""
-        return tuple(sum(1 << w for w in a) for a in self._adj)
+            u, v = self.edges[removed]
+            adj = list(adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        return _distances(_levels(adj, source), self.n)
 
     @cached_property
     def incident_masks(self) -> tuple[int, ...]:
@@ -138,20 +139,7 @@ class Graph:
         distance d, so the last index is the eccentricity of ``source``."""
         if not 0 <= source < self.n:
             raise GraphError(f"vertex {source} out of range")
-        adj = self.neighbor_masks
-        frontier = seen = 1 << source
-        levels = [frontier]
-        while True:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            if not frontier:
-                return tuple(levels)
-            seen |= frontier
-            levels.append(frontier)
+        return tuple(_levels(self.neighbor_masks, source))
 
     @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:
@@ -162,16 +150,7 @@ class Graph:
     def distance_matrix(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs hop distances, read off :attr:`levels`; symmetric with a
         zero diagonal."""
-        rows = []
-        for levels in self.levels:
-            row = [0] * self.n
-            for d, level in enumerate(levels):
-                while level:
-                    low = level & -level
-                    row[low.bit_length() - 1] = d
-                    level ^= low
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(tuple(_distances(levels, self.n)) for levels in self.levels)
 
     def eccentricity(self, v: int) -> int:
         return len(self.levels[v]) - 1

@@ -417,8 +417,10 @@ def _lexicographic_walk(
     slack, decided by the branch and bound started from that greedy set,
     whose set is a completion too. The walk descends into a completion's
     lowest vertex with no test, keeping the rest; vertices below it are
-    still tested. One search, with one memo of block values, serves the
-    walk.
+    still tested. The walk stops at the first candidate that strands a
+    column (leaves it unhit with no later vertex): every later candidate
+    strands it too, and a completion's lowest vertex comes before it. One
+    search, with one memo of block values, serves the walk.
     """
     search = _Search()
     chosen: list[int] = []
@@ -444,7 +446,8 @@ def _lexicographic_walk(
                 above = -(low << 1)  # the vertices after v
                 later = [c & above for c in rest]
                 if 0 in later:
-                    continue
+                    # a column lies wholly below v, so below every later v too
+                    break
                 later = sorted(set(later))
                 bound = disjoint_lower_bound(later)
                 if parts and bound <= budget:

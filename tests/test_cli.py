@@ -305,6 +305,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "dem", str(bad))
         assert code == 2 and "disconnected" in err
 
+    @pytest.mark.parametrize(
+        "expr", ["gen=path:2:seed=3", "gen=randconn:8:1/2:seed=1:seed=2"]
+    )
+    def test_misplaced_seed(self, capsys, monkeypatch, expr):
+        # a seed on a deterministic kind, or a second seed, is refused
+        # before anything is built
+        monkeypatch.setattr(demkit.cli, "build", _refuse)
+        code, out, err = run(capsys, "dem", expr)
+        assert code == 2 and out == ""
+        assert err.startswith("demkit: ") and "seed" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["dem", "cover", "compare"])
     def test_file_that_is_not_text(self, capsys, tmp_path, command):
         good = tmp_path / "good.txt"

@@ -50,6 +50,7 @@ class TestParsing:
             "cluster(cycle:4,path:2,rootx=1)",
             "cartesian(path:3,cycle:4",
             "randconn:8:1/3/4:seed=1",
+            "randconn:8:1/2:seed=1:seed=2",
         ],
     )
     def test_rejects(self, text):

@@ -14,7 +14,7 @@ class TestBook:
         # q triangles sharing the common edge (0, 1)
         assert g.has_edge(0, 1)
         for p in (2, 3):
-            assert set(g.neighbors(p)) == {0, 1}
+            assert g.neighbor_masks[p] == 0b11
 
     @pytest.mark.parametrize("q", range(1, 7))
     def test_counts(self, q):
@@ -82,6 +82,7 @@ MALFORMED = (
     FamilySpec("path", (3, 4)),
     FamilySpec("nonsense", (3,)),
     FamilySpec("path", ()),
+    FamilySpec("path", (3,), 7),  # a seed on a deterministic kind
 )
 
 
@@ -99,6 +100,7 @@ class TestValidation:
             FamilySpec("nonsense", (3,)),
             FamilySpec("path", ()),
             FamilySpec("hypercube", (-1,)),
+            FamilySpec("path", (3,), 7),
         ],
     )
     def test_bad_parameters(self, spec):

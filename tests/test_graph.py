@@ -64,10 +64,26 @@ class TestConstruction:
         g = Graph(3, [(2, 1), (1, 0)])
         assert g.edges == ((0, 1), (1, 2))
         assert g.edge_id(2, 1) == 1
+        k = complete(5)
+        assert [k.edge_id(v, u) for u, v in k.edges] == list(range(k.m))
 
     def test_single_vertex(self):
         g = Graph(1, [])
         assert g.n == 1 and g.m == 0
+
+    def test_disconnection_witness(self):
+        # vertex 0 and the lowest vertex it does not reach
+        with pytest.raises(DisconnectedGraphError) as err:
+            Graph(4, [(0, 1), (2, 3)])
+        assert err.value.witnesses == (0, 2)
+
+    # out of range either way, a loop, and a non-edge of the 4-cycle
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (0, 4), (4, 0), (2, 2), (0, 2)])
+    def test_no_edge(self, pair):
+        g = cycle(4)
+        assert not g.has_edge(*pair)
+        with pytest.raises(GraphError):
+            g.edge_id(*pair)
 
 
 class TestDistances:
@@ -170,3 +186,14 @@ def test_levels_and_distances_match_the_oracle(g):
     )
     assert [list(row) for row in g.distance_matrix] == dist
     assert [g.eccentricity(v) for v in range(g.n)] == [max(row) for row in dist]
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_edge_removed_distances_match_the_oracle(g):
+    for e, banned in enumerate(g.edges):
+        for v in range(g.n):
+            expected = oracles.bfs_row(g.n, list(g.edges), v, banned=banned)
+            assert g.distances_from(v, removed=e) == [
+                INFINITE if d == oracles.INF else d for d in expected
+            ]

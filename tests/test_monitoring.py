@@ -356,6 +356,9 @@ class TestDemNumber:
         "cartesian(path:4|cycle:8)": (
             744, "2b192a771cc09f8d49f7d4199db47c7ee48980efae80f3ac312b28e7ba7b268d"
         ),
+        "cartesian(complete:6|complete:7)": (
+            5040, "bd7023f0fcb9d5b3d40b3c3fd61c5ced18121d127534eb711b88fe78c89ff42e"
+        ),
     }
 
     @pytest.mark.parametrize("spec", list(GOLDEN_ENUMERATIONS))
