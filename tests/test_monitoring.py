@@ -2,7 +2,7 @@ import hashlib
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demkit import (
@@ -23,12 +23,14 @@ from demkit import (
     parse_expr,
     vertex_cover_number,
 )
+from demkit import hitting, monitoring, products
 from demkit.hitting import (
     bits,
     lexicographically_smallest,
     minimum_hitting_set,
     partition_bound,
     reduce_columns,
+    reduce_in_blocks,
 )
 from demkit.products import cartesian, factor_layers
 
@@ -544,3 +546,154 @@ def test_partitions_change_no_answer_on_the_oracle_corpus():
             _assert_same_answer(Graph(n, edges))
     for i in range(50):
         _assert_same_answer(random_connected(6 + i % 3, 1, 2, 8000 + i))
+
+
+def _relabelled(g, order):
+    """g with vertex v renamed ``order[v]``."""
+    return Graph(g.n, [(order[u], order[v]) for u, v in g.edges])
+
+
+@st.composite
+def small_factors(draw, most):
+    """A connected graph on 2 to ``most`` (at most 5) vertices, randconn,
+    randtree, cycle or complete, under a random relabelling."""
+    n = draw(st.integers(2, most))
+    kind = draw(st.sampled_from(["randconn", "randtree", "cycle", "complete"]))
+    seed = draw(st.integers(0, 10_000))
+    g = {
+        "randconn": lambda: random_connected(n, 1, 2, seed),
+        "randtree": lambda: random_tree(n, seed),
+        "cycle": lambda: cycle(n) if n > 2 else path(2),
+        "complete": lambda: complete(n),
+    }[kind]()
+    return _relabelled(g, draw(st.permutations(range(n))))
+
+
+@st.composite
+def relabelled_products(draw):
+    """The Cartesian product of two or three small factors, on at most 25
+    vertices, itself relabelled so that its layers are not runs of ids."""
+    g = draw(small_factors(5))
+    for _ in range(draw(st.integers(1, 2))):
+        if 2 * g.n > 25:
+            break
+        g = cartesian(g, draw(small_factors(min(5, 25 // g.n))))[0]
+    return _relabelled(g, draw(st.permutations(range(g.n))))
+
+
+PAW = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])  # a triangle and a pendant
+
+
+class TestLayerLemma:
+    """The matrix is read fibre by fibre and reduced block by block; both
+    rest on every monitor column lying inside one factor layer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_products())
+    # the paw's pendant edge has a column holding that of the edge opposite
+    # it, with another lowest and another highest vertex
+    @example(_relabelled(cartesian(PAW, cycle(3))[0], range(11, -1, -1)))
+    def test_columns_lie_in_one_layer_and_stages_match_the_oracles(self, g):
+        edges = list(g.edges)
+        layers = oracles.factor_layers(g.n, edges)
+        assert len(layers) >= 2
+        for col in oracles.monitor_columns(g.n, edges):
+            mask = sum(1 << x for x in col)
+            holding = [b for blocks in layers for b in blocks if not mask & ~b]
+            assert len(holding) == 1, (col, layers)
+        matrix = monitor_matrix(g, max_n=g.n)
+        assert matrix == monitor_matrix_naive(g, max_n=g.n)
+        assert reduce_in_blocks(matrix, factor_layers(g)) == reduce_columns(matrix)
+
+    def test_a_column_in_no_block_reduces_the_whole_set(self):
+        # {1, 3} and {0, 1, 2} lie in neither block: per block, {0, 1, 2}
+        # would survive beside {0, 1}, and skipping them would lose {1, 3}
+        columns = [0b0011, 0b1100, 0b1010, 0b0111]
+        parts = [(0b0011, 0b0011, 0b1100, 0b1100)]
+        assert reduce_columns(columns) == [0b0011, 0b1010, 0b1100]
+        assert reduce_in_blocks(columns, parts) == reduce_columns(columns)
+
+    @pytest.mark.parametrize(
+        "spec", ["cycle:9", "bipartite:3:3", "bipartite:4:8", "join(path:4|cycle:5)"]
+    )
+    def test_prime_graphs_read_each_probe_in_the_whole_set(self, monkeypatch, spec):
+        g = build(parse_expr(spec))
+        assert factor_layers(g) == ()
+        seen = []
+        kernel = monitoring._single_parent
+
+        def recording(graph, probes):
+            probes = list(probes)
+            seen.extend(fibres for _, fibres in probes)
+            return kernel(graph, probes)
+
+        monkeypatch.setattr(monitoring, "_single_parent", recording)
+        assert monitor_matrix(g) == monitor_matrix_naive(g)
+        assert seen == [(-1,)] * g.n
+
+    def test_cap_comes_before_the_layers_and_any_bfs(self, monkeypatch, bfs_sources):
+        g = build(parse_expr("cartesian(cycle:5|cycle:6)"))
+        layers = []
+        monkeypatch.setattr(products, "factor_layers", layers.append)
+        bfs_sources.clear()
+        for stage in (monitor_matrix, dem_value, dem_number):
+            with pytest.raises(CapExceededError):
+                stage(g, max_n=29)
+        assert layers == [] and bfs_sources == []
+
+    # (value, witness) at the parent of the shared memo; nodes_explored is 1
+    MEMO_PINS = {
+        "cartesian(cycle:5|cycle:6)": (
+            12, (0, 1, 2, 3, 6, 10, 13, 16, 20, 23, 27, 29),
+        ),
+        "cartesian(complete:5|complete:6)": (
+            25, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 18, 19, 21,
+                 22, 23, 24, 26, 27, 28, 29),
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "spec, enumerate_all",
+        [
+            ("cartesian(cycle:5|cycle:6)", False),
+            ("cartesian(complete:5|complete:6)", False),
+            ("cartesian(complete:5|complete:6)", True),
+        ],
+    )
+    def test_the_walk_solves_no_block_the_value_search_solved(
+        self, monkeypatch, spec, enumerate_all
+    ):
+        solved = {"search": set(), "walk": set()}
+        phase = []
+
+        def in_phase(name, stage):
+            def wrapped(*args, **kwargs):
+                phase.append(name)
+                try:
+                    return stage(*args, **kwargs)
+                finally:
+                    phase.pop()
+
+            return wrapped
+
+        bound = hitting.partition_bound
+
+        def recording(cols, parts, memo=None):
+            before = set(memo)
+            value = bound(cols, parts, memo)
+            solved[phase[-1]] |= set(memo) - before
+            return value
+
+        monkeypatch.setattr(hitting, "partition_bound", recording)
+        for name, stage in [
+            ("search", "minimum_hitting_set"),
+            ("walk", "lexicographically_smallest"),
+            ("walk", "enumerate_minimum_sets"),
+        ]:
+            monkeypatch.setattr(hitting, stage, in_phase(name, getattr(hitting, stage)))
+        g = build(parse_expr(spec))
+        result = dem_number(g, enumerate_all, max_n=g.n)
+        assert (result.value, result.witness) == self.MEMO_PINS[spec]
+        assert result.nodes_explored == 1
+        assert solved["search"] and solved["walk"]
+        assert not solved["search"] & solved["walk"]
