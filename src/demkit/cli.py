@@ -7,8 +7,11 @@ strong metric dimensions). Graphs are given either as an edge-list file path
 or inline as ``gen=<expression>``. Every exact solver, the comparison
 dimensions included, refuses graphs above one vertex cap: ``--max-n``,
 defaulting to ``DEMKIT_MAX_N`` or else 24. ``dem``, ``cover`` and ``compare``
-check an input's vertex count against the cap before building it; ``gen`` is
-not capped.
+check an input's vertex count against the cap before building it. ``gen``
+solves nothing, so the cap does not apply to it; it refuses, before
+building, an expression of more than ``MAX_GEN_ORDER`` vertices, a guard on
+memory: a graph's neighbour masks take n² bits, and the edge list of
+``complete:1024`` already peaks at about 120 MB.
 
 Exit status: 0 on success, 1 when a verification suite reports a failure,
 2 on usage or input errors. Identical arguments (and seed) produce
@@ -37,6 +40,10 @@ from .graph import Graph, format_edge_list, parse_edge_list
 from .monitoring import DEFAULT_ENUMERATION_CAP, DEFAULT_MAX_N, dem_number
 
 FORMATS = ("json", "csv", "plain")
+
+# the largest order ``gen`` builds; the largest products solved past the cap
+# (C32 x C32, Q10) have this many vertices
+MAX_GEN_ORDER = 1024
 
 USAGE_ERRORS = (
     GraphError,
@@ -167,6 +174,9 @@ def _run_dem(args: argparse.Namespace) -> int:
 
 def _run_gen(args: argparse.Namespace) -> int:
     expr = parse_expr(args.family)
+    n = order_of(expr)
+    if n > MAX_GEN_ORDER:
+        raise CapExceededError(args.family, n, MAX_GEN_ORDER)
     _emit(format_edge_list(build(expr)), args.output)
     return 0
 

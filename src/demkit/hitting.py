@@ -27,13 +27,15 @@ columns are reduced block by block (``reduce_in_blocks``): at n = 1,024 on
 a 2-vCPU host that took 6 ms on C32 box C32 and 17 ms on Q10, against 187
 and 998 ms for the whole set at once.
 
-The two per-call kernels of ``_solve`` work on whole masks.
-``greedy_hitting``, the seed of every solve, keeps each vertex's count of remaining columns
-bit-sliced: ``digits[j]`` is the mask of the vertices whose count has bit j
-set. A column enters by a ripple-carry of its mask into the digits and
-leaves by a ripple-borrow, and the vertices of largest count are the
-candidate mask narrowed from the top digit down, so no column is decoded
-into vertices. ``_components`` grows the first column's support until no
+The per-call kernels of ``_solve`` work on whole masks. Each vertex's
+count of columns is kept bit-sliced (``_coverage_digits``): ``digits[j]``
+is the mask of the vertices whose count has bit j set, and a column enters
+by a ripple-carry of its mask into the digits. ``greedy_hitting``, the seed
+of every solve, drops a hit column by a ripple-borrow, and the vertices of
+largest count are the candidate mask narrowed from the top digit down, so
+no column is decoded into vertices. ``_branching`` scores each column of
+fewest candidates by popcounts against the digits and decodes only the
+column it picks. ``_components`` grows the first column's support until no
 column joins it, and runs its merge loop only when the columns really split.
 
 ``_lexicographic_walk`` is the one loop that lists minimum sets in order,
@@ -171,19 +173,10 @@ def _components(cols: Sequence[int]) -> list[list[int]]:
     return [members for _, members in comps]
 
 
-def greedy_hitting(cols: Sequence[int]) -> list[int]:
-    """Repeatedly take the vertex hitting the most remaining columns
-    (ties: lowest id); valid, not necessarily minimum.
-
-    The counts are bit-sliced: ``digits[j]`` is the vertex mask of bit j of
-    each vertex's count of remaining columns, so adding a column is a
-    ripple-carry of its mask into the digits and dropping a hit column a
-    ripple-borrow. The vertices of largest count are found by narrowing a
-    candidate mask from the top digit down; the lowest of them is taken.
-    Raises ``ValueError`` on an empty column, which no vertex hits.
-    """
-    if 0 in cols:
-        raise ValueError("unhittable empty column")
+def _coverage_digits(cols: Sequence[int]) -> list[int]:
+    """Each vertex's count of the columns holding it, bit-sliced:
+    ``digits[j]`` is the mask of the vertices whose count has bit j set.
+    Each column enters by a ripple-carry of its mask into the digits."""
     digits: list[int] = []
     for c in cols:
         j = 0
@@ -195,6 +188,22 @@ def greedy_hitting(cols: Sequence[int]) -> list[int]:
             j += 1
         else:
             digits.append(c)
+    return digits
+
+
+def greedy_hitting(cols: Sequence[int]) -> list[int]:
+    """Repeatedly take the vertex hitting the most remaining columns
+    (ties: lowest id); valid, not necessarily minimum.
+
+    The counts are bit-sliced (:func:`_coverage_digits`), so dropping a hit
+    column is a ripple-borrow of its mask out of the digits. The vertices of
+    largest count are found by narrowing a candidate mask from the top digit
+    down; the lowest of them is taken. Raises ``ValueError`` on an empty
+    column, which no vertex hits.
+    """
+    if 0 in cols:
+        raise ValueError("unhittable empty column")
+    digits = _coverage_digits(cols)
     remaining = cols
     chosen: list[int] = []
     while remaining:
@@ -255,19 +264,29 @@ def _branching(cols: Sequence[int]) -> list[int]:
     """Vertices of the column to branch on, in the order they are tried.
 
     The column has the fewest candidates (ties: the most candidate coverage,
-    then the smallest mask); its vertices go by coverage, then id. Each
-    column is decoded once.
+    then the smallest mask); its vertices go by coverage, then id. A
+    vertex's coverage is its count of columns, read from the bit-sliced
+    counts (:func:`_coverage_digits`), and a column's is the sum over its
+    vertices, Σⱼ |c ∧ digits[j]|·2ʲ, so only the chosen column is decoded.
     """
-    decoded = [bits(c) for c in cols]
-    count: dict[int, int] = {}
-    for vs in decoded:
-        for v in vs:
-            count[v] = count.get(v, 0) + 1
-    _, column = min(
-        zip(cols, decoded),
-        key=lambda cv: (cv[0].bit_count(), -sum(count[v] for v in cv[1]), cv[0]),
-    )
-    return sorted(column, key=lambda x: (-count[x], x))
+    planes = list(enumerate(_coverage_digits(cols)))
+    k = min(map(int.bit_count, cols))
+    best, column = -1, 0
+    for c in cols:
+        if c.bit_count() == k:
+            score = 0
+            for j, d in planes:
+                score += (c & d).bit_count() << j
+            if score > best or (score == best and c < column):
+                best, column = score, c
+    order = []
+    for v in bits(column):
+        count = 0
+        for j, d in planes:
+            count += ((d >> v) & 1) << j
+        order.append((-count, v))
+    order.sort()
+    return [v for _, v in order]
 
 
 class Layers(tuple):

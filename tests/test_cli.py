@@ -11,7 +11,7 @@ import pytest
 import demkit.cli
 import demkit.graph
 from demkit import build, parse_edge_list, parse_expr, predicted_dem
-from demkit.cli import main
+from demkit.cli import MAX_GEN_ORDER, main
 from demkit.exprs import MAX_NESTING
 
 import oracles
@@ -286,6 +286,23 @@ class TestCapBeforeBuild:
     def test_gen_is_not_capped(self, capsys):
         code, out, _ = run(capsys, "gen", "path:30")
         assert code == 0 and len(out.splitlines()) == 29
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["path:99999999999999999999", "hypercube:40", f"path:{MAX_GEN_ORDER + 1}"],
+    )
+    def test_gen_refuses_an_order_past_its_guard(self, capsys, monkeypatch, expr):
+        # gen builds no graph whose neighbour masks (n^2 bits) could exhaust
+        # memory: such input is a usage error before anything is allocated
+        monkeypatch.setattr(demkit.cli, "build", _refuse)
+        code, out, err = run(capsys, "gen", expr)
+        assert code == 2 and out == ""
+        assert err.startswith(f"demkit: {expr}: ") and err.count("\n") == 1
+        assert f"exceeds cap {MAX_GEN_ORDER}" in err
+
+    def test_gen_builds_at_its_guard(self, capsys):
+        code, out, _ = run(capsys, "gen", f"path:{MAX_GEN_ORDER}")
+        assert code == 0 and len(out.splitlines()) == MAX_GEN_ORDER - 1
 
 
 class TestUsageErrors:

@@ -5,14 +5,18 @@ from demkit import (
     CapExceededError,
     Graph,
     GraphError,
+    build,
     cartesian,
     compare_graph,
     dem_number,
     edge_metric_dimension,
+    hitting,
     is_dem_set,
     is_vertex_cover,
     metric_dimension,
+    parse_expr,
     strong_metric_dimension,
+    vertex_cover_number,
 )
 from demkit.comparison import (
     is_edge_metric_generator,
@@ -165,3 +169,33 @@ def test_compare_report():
     assert is_metric_generator(g, report.dim_witness)
     assert is_edge_metric_generator(g, report.edim_witness)
     assert is_strong_resolving_set(g, report.dim_s_witness)
+
+
+# (value, nodes) of the value search of the metric, edge metric and strong
+# metric dimensions and of vertex cover: the comparison's pair columns are
+# the widest any route branches on, and the witness drops the node count
+PINNED_SEARCHES = {
+    "randconn:24:1/2:seed=3": ((5, 1079), (12, 1038), (18, 38), (18, 40)),
+    "hypercube:4": ((4, 273), (3, 47), (8, 8), (8, 1)),
+}
+
+
+@pytest.mark.parametrize("spec", list(PINNED_SEARCHES))
+def test_dimension_searches_are_pinned(spec, monkeypatch):
+    searches = []
+    original = hitting.minimum_hitting_set
+
+    def recording(*args, **kwargs):
+        searches.append(original(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(hitting, "minimum_hitting_set", recording)
+    g = build(parse_expr(spec))
+    for solve in (
+        metric_dimension,
+        edge_metric_dimension,
+        strong_metric_dimension,
+        vertex_cover_number,
+    ):
+        solve(g, max_n=g.n)
+    assert tuple(searches) == PINNED_SEARCHES[spec]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from demkit import hitting
 from demkit.errors import EnumerationCapExceededError
 from demkit.hitting import (
+    _branching,
     _components,
     _Search,
     _solve,
@@ -486,6 +487,55 @@ def test_greedy_matches_both_former_loops_on_wide_counts(case):
     count = Counter(v for c in cols for v in range(n) if (c >> v) & 1)
     assert max(count.values()) >= 32 and max(count) >= 64
     assert greedy_hitting(cols) == _greedy_by_rows(cols, n) == _greedy_by_counts(cols)
+
+
+def _branching_by_decoding(cols):
+    """The former loop of ``_branching``: decode every column, count each
+    vertex's columns, and score a column by its vertices' counts."""
+    decoded = [bits(c) for c in cols]
+    count = Counter(v for vs in decoded for v in vs)
+    _, column = min(
+        zip(cols, decoded),
+        key=lambda cv: (cv[0].bit_count(), -sum(count[v] for v in cv[1]), cv[0]),
+    )
+    return sorted(column, key=lambda x: (-count[x], x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_sets())
+def test_branching_matches_the_decode_loop(case):
+    _, cols = case
+    cols = [c for c in cols if c]
+    assume(cols)
+    assert _branching(cols) == _branching_by_decoding(cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_column_sets())
+def test_branching_matches_the_decode_loop_on_wide_counts(case):
+    # without the single-vertex columns the hub's columns of two vertices or
+    # more are scored, and their counts span six or more digit planes
+    _, cols = case
+    for columns in filter(None, (cols, [c for c in cols if c & (c - 1)])):
+        assert _branching(columns) == _branching_by_decoding(columns)
+
+
+@pytest.mark.parametrize(
+    "sets, order",
+    [
+        # duplicated columns tie in coverage: the smaller mask wins
+        ([{2, 3}, {0, 1}, {2, 3}, {0, 1}, {4, 5}], [0, 1]),
+        # equal scores; the shared vertex goes first by its count
+        ([{2, 5}, {1, 5}, {0, 5}], [5, 0]),
+        # the column of fewest candidates, however much the others cover
+        ([{0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {3, 4}], [3, 4]),
+        # a duplicate lifts its column's score above a smaller mask's
+        ([{0, 1}, {2, 3}, {2, 3}, {0, 4}], [2, 3]),
+    ],
+)
+def test_branching_on_duplicates_and_ties(sets, order):
+    cols = masks(*sets)
+    assert _branching(cols) == _branching_by_decoding(cols) == order
 
 
 def _components_by_merging(cols):
