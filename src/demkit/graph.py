@@ -4,16 +4,16 @@ Vertices are dense integer ids ``0..n-1``. Edges get canonical ids: the
 position of the ``(min, max)`` endpoint pair in the sorted edge tuple, stable
 across runs. Vertex and edge sets are bitmasks over these ids.
 
-The neighbour masks are the graph's one adjacency, and one level-synchronous
-BFS over them (``_levels``) its one search: the next level is the OR of the
-frontier's neighbour masks less every vertex already reached. It checks
-connectivity at construction and yields :meth:`Graph.levels_from`. The level
-masks of all sources (:attr:`Graph.levels`) are computed once per graph and
-feed the distance matrix, the eccentricities, the monitor matrix and the
-factor layers. :meth:`Graph.distances_from` runs the same BFS, on a copy of
-the masks with the edge's two bits cleared when it removes one edge;
-disconnection is then encoded as :data:`INFINITE`, which compares strictly
-greater than (and unequal to) every finite hop count.
+A level-synchronous BFS over the neighbour masks (``_levels``) takes the
+next level as the OR of the frontier's neighbour masks less every vertex
+already reached. It checks connectivity at construction and yields
+:meth:`Graph.levels_from`; :meth:`Graph.distances_from` runs it on a copy of
+the masks with the edge's two bits cleared when it removes one edge, and
+encodes disconnection as :data:`INFINITE`, which compares strictly greater
+than (and unequal to) every finite hop count. The levels of all sources
+(:attr:`Graph.levels`) come from one sweep of every source at once
+(``_sweep``), once per graph, and feed the distance matrix, the
+eccentricities and the two sides of every edge (:attr:`Graph.sides`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,28 @@ def _levels(adj: Sequence[int], source: int) -> list[int]:
             return levels
         seen |= frontier
         levels.append(frontier)
+
+
+def _sweep(n: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The level masks of a BFS from every vertex at once. A round ORs into
+    each vertex v its neighbours' frontiers, the sources first reaching them
+    in the last round, and keeps the sources not yet seen at v. Distances
+    are symmetric, so those reaching v in round d are at distance d from v."""
+    frontier = [1 << v for v in range(n)]
+    unseen = [((1 << n) - 1) ^ f for f in frontier]
+    levels = [[f] for f in frontier]
+    while any(frontier):
+        reached = [0] * n
+        for u, v in edges:
+            reached[u] |= frontier[v]
+            reached[v] |= frontier[u]
+        for v in range(n):
+            reach = reached[v] = reached[v] & unseen[v]
+            if reach:
+                unseen[v] ^= reach
+                levels[v].append(reach)
+        frontier = reached
+    return tuple(map(tuple, levels))
 
 
 def _distances(levels: Iterable[int], n: int) -> list:
@@ -143,8 +165,21 @@ class Graph:
 
     @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:
-        """:meth:`levels_from` of every vertex, one BFS each."""
-        return tuple(self.levels_from(v) for v in range(self.n))
+        """:meth:`levels_from` of every vertex, from one all-sources sweep."""
+        return _sweep(self.n, self.edges)
+
+    @cached_property
+    def sides(self) -> tuple[tuple[int, int], ...]:
+        """For each edge uv (u < v), in edge-id order, the masks of the
+        vertices strictly closer to u than to v and to v than to u. x is
+        closer to u iff d(x,v) - d(x,u) is 1 mod 3 (see ``monitoring``): three
+        ANDs of the endpoints' levels folded mod 3 (disjoint, so summed)."""
+        mod3 = [(sum(lv[::3]), sum(lv[1::3]), sum(lv[2::3])) for lv in self.levels]
+        ends = ((mod3[u], mod3[v]) for u, v in self.edges)
+        return tuple(
+            ((a0 & b1) | (a1 & b2) | (a2 & b0), (b0 & a1) | (b1 & a2) | (b2 & a0))
+            for (a0, a1, a2), (b0, b1, b2) in ends
+        )
 
     @cached_property
     def distance_matrix(self) -> tuple[tuple[int, ...], ...]:

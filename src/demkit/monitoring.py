@@ -6,38 +6,37 @@ graph is the smallest probe set under which every edge is monitored; it is
 exactly the minimum hitting set of the per-edge monitor sets: the columns
 that ``monitor_matrix`` returns, one vertex mask per edge.
 
-What a probe monitors follows from one BFS. Call u a parent of v when u is a
-neighbour of v with d(x,u) = d(x,v) - 1. Then x monitors edge uv, with
-d(x,v) = d(x,u) + 1, iff u is the only parent of v. Proof: removing an edge
-never shortens a distance, and the distances along a shortest path from x
-rise by one per step. So an edge whose endpoints are equally far from x lies
-on no shortest x-path, and its removal changes nothing. If v has a second
-parent w, a shortest x-w path reaches no vertex farther than d(x,u), so it
-avoids uv; followed by wv it replaces the prefix x..u,v of any shortest path
-through uv at equal length, and no distance changes. If u is the only parent,
-every shortest x-v path ends with uv, so d(x,v) grows when uv is removed.
-So x monitors exactly one edge per vertex with a single parent.
+What a probe monitors follows from its distances. Call u a parent of v when
+u is a neighbour of v with d(x,u) = d(x,v) - 1. Then x monitors edge uv,
+with d(x,v) = d(x,u) + 1, iff u is the only parent of v. Proof: removing an
+edge never shortens a distance, and the distances along a shortest path
+from x rise by one per step. So an edge whose endpoints are equally far
+from x lies on no shortest x-path, and its removal changes nothing. If v
+has a second parent w, a shortest x-w path reaches no vertex farther than
+d(x,u), so it avoids uv; followed by wv it replaces the prefix x..u,v of
+any shortest path through uv at equal length, and no distance changes. If
+u is the only parent, every shortest x-v path ends with uv, so d(x,v)
+grows when uv is removed.
 
-In mask form, over the BFS levels of x (``Graph.levels``): a vertex v at
-level d has the parent mask ``p = adj[v] & levels[d-1]``, and x monitors the
-edge from v to its parent iff ``p & (p - 1) == 0``, i.e. p has one bit.
+The rule runs per edge, for all probes at once. The probes that see u as a
+parent of v are those strictly closer to u than to v, one side of uv
+(``Graph.sides``). Adjacent vertices' distances from x differ by at most
+one, so d(x,v) - d(x,u) is -1, 0 or 1, three values distinct mod 3: x is
+closer to u iff the two distances mod 3 differ by 1. Each vertex counts its
+parents over its edges for every probe at once, saturating at two (the
+masks ``once`` and ``twice``). The column of uv is the side closer to u
+within the probes that see one parent of v, joined with the side closer to
+v within those that see one parent of u.
 
-On a Cartesian product the pass reads each probe's levels only inside its
-own fibres. A fibre is one copy of a prime factor, a block of one partition
-of ``products.factor_layers``; a prime graph is one fibre, the whole vertex
-set. The layer lemma: for G = A box B and an edge e of the A-layer at
-B-coordinate b, the probes monitoring e lie in that layer. Distances add
-over the coordinates. From x = (a, b') with b' != b, a shortest path to any
-target makes its A-moves at b' and so avoids e; from x in the layer, a
-target at another B-coordinate is reached by making its B-moves first. So
-no probe outside an edge's fibre monitors it. Inside, a fibre is convex:
-for x and v in it, a neighbour of v outside it differs from v in another
-coordinate, so it is one step farther from x than v. So the parents of v,
-and every edge x monitors in the fibre, lie in the fibre, and masking the
-levels of x to it loses no edge. The pass then costs about n times the sum of the factor
-orders instead of n squared: at n = 1,024 on a 2-vCPU host it took 42 ms
-on C32 box C32 and 14 ms on Q10, against 392 and 426 ms over the whole
-vertex set.
+On a Cartesian product every column lies in one layer of one prime factor,
+a block of one partition of ``products.factor_layers``. The layer lemma:
+for G = A box B and an edge e of the A-layer at B-coordinate b, the probes
+monitoring e lie in that layer. Distances add over the coordinates. From
+x = (a, b') with b' != b, a shortest path to any target makes its A-moves
+at b' and so avoids e; from x in the layer, a target at another
+B-coordinate is reached by making its B-moves first. The value stage
+reduces the columns block by block on it (``hitting.reduce_in_blocks``),
+and bounds the search by the blocks (``hitting.partition_bound``).
 
 The ``*_naive`` twins follow the definition instead: they re-run the
 single-source distances with each edge removed in turn, and exist as the
@@ -46,7 +45,7 @@ independent oracle for the parent-count rule.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import hitting, products
 from .errors import CapExceededError, GraphError
@@ -86,44 +85,11 @@ def _row(g: Graph, x: int) -> int:
     return row
 
 
-def _single_parent(
-    g: Graph, probes: Iterable[tuple[Sequence[int], Iterable[int]]]
-) -> tuple[int, ...]:
-    """Monitor columns of the probes, each given as its BFS level masks and
-    the fibres to read them in, by the single-parent rule in one pass; the
-    i-th probe is bit i of a column."""
-    adj, inc = g.neighbor_masks, g.incident_masks
-    cols = [0] * g.m
-    for x, (levels, fibres) in enumerate(probes):
-        bit = 1 << x
-        for fibre in fibres:
-            for above, level in zip(levels, levels[1:]):
-                level &= fibre
-                if not level:  # a fibre is convex: no farther level meets it
-                    break
-                while level:
-                    low = level & -level
-                    v = low.bit_length() - 1
-                    p = adj[v] & above
-                    if not p & (p - 1):  # one parent: x monitors the edge to it
-                        eid = (inc[v] & inc[p.bit_length() - 1]).bit_length() - 1
-                        cols[eid] |= bit
-                    level ^= low
-    return tuple(cols)
-
-
-def _columns(g: Graph, parts: hitting.Partitions) -> tuple[int, ...]:
-    """The monitor columns read fibre by fibre: each probe in its own block
-    of every partition of ``parts`` (the factor layers), or in the whole
-    vertex set when there is none."""
-    fibres = zip(*parts) if parts else [(-1,)] * g.n  # -1: every vertex
-    return _single_parent(g, zip(g.levels, fibres))
-
-
 def monitored_edges(g: Graph, x: int) -> set[int]:
-    """Edge ids monitored by vertex x (single-parent rule, one BFS)."""
-    cols = _single_parent(g, [(g.levels_from(x), (-1,))])
-    return {eid for eid, col in enumerate(cols) if col}
+    """Edge ids monitored by vertex x: bit x of the monitor columns."""
+    if not 0 <= x < g.n:
+        raise GraphError(f"vertex {x} out of range")
+    return {e for e, col in enumerate(monitor_matrix(g, max_n=g.n)) if col >> x & 1}
 
 
 def monitored_edges_naive(g: Graph, x: int) -> set[int]:
@@ -141,20 +107,23 @@ def _matrix(g: Graph, rows: list[int]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _factor_layers(g: Graph, max_n: int) -> tuple[tuple[int, ...], ...]:
-    """The factor layers of g (``products.factor_layers``), after the cap
-    check, which comes before any BFS."""
-    if g.n > max_n:
-        raise CapExceededError("monitor matrix", g.n, max_n)
-    return products.factor_layers(g)
-
-
 def monitor_matrix(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
     """The monitor columns: entry e is the mask of the vertices monitoring
-    edge e, its two endpoints always among them. One BFS per probe, from
-    ``g.levels``, shared with ``products.factor_layers``; each probe's levels
-    are read only in its own fibres."""
-    return _columns(g, _factor_layers(g, max_n))
+    edge e, its two endpoints always among them. After the cap check, before
+    any BFS, the single-parent rule runs per edge over ``g.sides``."""
+    if g.n > max_n:
+        raise CapExceededError("monitor matrix", g.n, max_n)
+    once, twice = [0] * g.n, [0] * g.n
+    for (u, v), (near_u, near_v) in zip(g.edges, g.sides):
+        twice[v] |= once[v] & near_u
+        once[v] |= near_u
+        twice[u] |= once[u] & near_v
+        once[u] |= near_v
+    single = [o ^ t for o, t in zip(once, twice)]  # twice lies in once
+    return tuple(
+        (near_u & single[v]) | (near_v & single[u])
+        for (u, v), (near_u, near_v) in zip(g.edges, g.sides)
+    )
 
 
 def monitor_matrix_naive(g: Graph, *, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
@@ -214,12 +183,12 @@ def _solve(
     g: Graph, max_n: int
 ) -> tuple[list[int], tuple[int, ...], hitting.Layers, int, int]:
     """The value stage shared by :func:`dem_value` and :func:`dem_number`:
-    the factor layers with one memo of block values, the monitor columns
-    built and reduced fibre by fibre once for every solve that follows, the
-    greedy seed, and the minimum value with the nodes its branch and bound
-    explored."""
-    parts = hitting.Layers(_factor_layers(g, max_n))
-    matrix = _columns(g, parts)
+    the monitor columns (after the cap check), the factor layers with one
+    memo of block values, the columns reduced block by block once for every
+    solve that follows, the greedy seed, and the minimum value with the
+    nodes its branch and bound explored."""
+    matrix = monitor_matrix(g, max_n=max_n)
+    parts = hitting.Layers(products.factor_layers(g))
     greedy = greedy_dem(g, matrix)
     cols = hitting.reduce_in_blocks(matrix, parts)
     value, nodes = hitting.minimum_hitting_set(

@@ -183,13 +183,13 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     ``a(w) = d(x,w) - d(y,w)``, which is -1, 0 or 1 for an edge xy, the
     relation reads ``a(u) != a(v)``: the edges Theta-related to xy are those
     cut by ``near_x = {w : a(w) = -1}`` or by ``near_y = {w : a(w) = 1}``,
-    both read off the BFS levels of x and y (``Graph.levels``). Every copy of
-    a factor edge has the same two sets, so a product computes about one cut
-    per factor edge. Tau is read off the neighbour masks: at an end a of xy,
-    with b the other end, an edge az joins the class when z is a neighbour
-    of b, or when no neighbour of z lies in N(b) outside N[a]. Only unclassed
-    edges az are tested: one already classed would have drawn xy into its
-    class. Each class closes by one search over edge masks.
+    the two sides of xy (``Graph.sides``). Every copy of a factor edge has
+    the same two sets, so a product computes about one cut per factor edge.
+    Tau is read off the neighbour masks: at an end a of xy, with b the
+    other end, an edge az joins the class when z is a neighbour of b, or
+    when no neighbour of z lies in N(b) outside N[a]. Only unclassed edges
+    az are tested: one already classed would have drawn xy into its class.
+    Each class closes by one search over edge masks.
 
     Returns ``()`` for a prime graph (as soon as the first class holds every
     edge), and for a graph with an edge on no chordless square without
@@ -198,7 +198,7 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     adj = g.neighbor_masks
     if g.m == 0 or not _on_chordless_squares(g, adj):
         return ()
-    edges, levels, inc = g.edges, g.levels, g.incident_masks
+    edges, sides, inc = g.edges, g.sides, g.incident_masks
     cuts: dict[tuple[int, int], int] = {}
     partitions = []
     unclassed = full = (1 << len(edges)) - 1
@@ -208,11 +208,7 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
             low = frontier & -frontier
             frontier ^= low
             x, y = edges[low.bit_length() - 1]
-            near_x = near_y = 0
-            for a, b in zip(levels[x], levels[y][1:]):
-                near_x |= a & b
-            for a, b in zip(levels[y], levels[x][1:]):
-                near_y |= a & b
+            near_x, near_y = sides[low.bit_length() - 1]
             related = cuts.get((near_x, near_y))
             if related is None:
                 related = cuts[near_x, near_y] = _cut(inc, near_x) | _cut(inc, near_y)

@@ -7,21 +7,27 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from demkit import FamilySpec, Graph, generate
+from demkit import FamilySpec, Graph, generate, graph
 
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
     """The source of every ``Graph.levels_from`` call (one BFS each) made
-    while the test runs, in call order."""
+    while the test runs, and ``"all"`` for each all-sources sweep (the BFS
+    of every vertex at once, behind ``Graph.levels``), in call order."""
     calls = []
-    bfs = Graph.levels_from
+    bfs, sweep = Graph.levels_from, graph._sweep
 
     def counting(self, source):
         calls.append(source)
         return bfs(self, source)
 
+    def sweeping(n, edges):
+        calls.append("all")
+        return sweep(n, edges)
+
     monkeypatch.setattr(Graph, "levels_from", counting)
+    monkeypatch.setattr(graph, "_sweep", sweeping)
     return calls
 
 

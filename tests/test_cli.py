@@ -50,12 +50,12 @@ class TestDem:
         assert doc["greedy"] == [0, 1, 2] and doc["greedy_size"] == 3
 
     def test_greedy_reuses_the_matrix(self, capsys, bfs_sources):
-        # the greedy set is the seed dem_number already computed: one BFS
-        # per vertex, as without --greedy
+        # the greedy set is the seed dem_number already computed: one
+        # all-sources sweep, as without --greedy
         for fmt in ("json", "csv", "plain"):
             bfs_sources.clear()
             code, _, _ = run(capsys, "dem", "gen=cycle:24", "--greedy", "--format", fmt)
-            assert code == 0 and sorted(bfs_sources) == list(range(24))
+            assert code == 0 and bfs_sources == ["all"]
 
     def test_torus_past_the_cap(self, capsys):
         # C7 x C7 (49 vertices) closes within seconds with the layer bound

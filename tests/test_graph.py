@@ -190,6 +190,20 @@ def test_levels_and_distances_match_the_oracle(g):
 
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs())
+def test_sides_match_the_oracle(g):
+    edges = list(g.edges)
+    rows = [oracles.bfs_row(g.n, edges, v) for v in range(g.n)]
+    assert g.sides == tuple(
+        tuple(
+            sum(1 << x for x in range(g.n) if rows[a][x] < rows[b][x])
+            for a, b in ((u, v), (v, u))
+        )
+        for u, v in edges
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
 def test_edge_removed_distances_match_the_oracle(g):
     for e, banned in enumerate(g.edges):
         for v in range(g.n):

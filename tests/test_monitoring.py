@@ -9,6 +9,7 @@ from demkit import (
     CapExceededError,
     EnumerationCapExceededError,
     Graph,
+    GraphError,
     build,
     dem_number,
     dem_value,
@@ -23,7 +24,7 @@ from demkit import (
     parse_expr,
     vertex_cover_number,
 )
-from demkit import hitting, monitoring, products
+from demkit import hitting, products
 from demkit.hitting import (
     bits,
     lexicographically_smallest,
@@ -129,10 +130,12 @@ class TestOracleEquivalence:
             assert [set(bits(col)) for col in mm] == cols
 
     def test_one_bfs_per_probe(self, bfs_sources):
+        # every probe's BFS runs in one all-sources sweep, and no single one
+        # runs beside it
         for g in (path(6), cycle(7), book(3), random_connected(12, 1, 2, 8)):
             bfs_sources.clear()
             monitor_matrix(g)
-            assert sorted(bfs_sources) == list(range(g.n))
+            assert bfs_sources == ["all"]
 
     @pytest.mark.parametrize("spec", ["path:24", "cycle:24", "book:22"])
     def test_no_factorisation_distances_on_prime_graphs(self, bfs_sources, spec):
@@ -140,7 +143,7 @@ class TestOracleEquivalence:
         # the factor layers without one more BFS
         g = build(parse_expr(spec))
         dem_number(g)
-        assert len(bfs_sources) == g.n
+        assert bfs_sources == ["all"]
 
     @pytest.mark.parametrize(
         "spec",
@@ -148,12 +151,12 @@ class TestOracleEquivalence:
     )
     def test_one_set_of_distance_rows_on_products(self, bfs_sources, spec):
         # each passes the square test, so factor_layers reads distances too:
-        # the levels monitor_matrix has already computed
+        # the sides monitor_matrix has already computed
         assert factor_layers(build(parse_expr(spec)))
         g = build(parse_expr(spec))
         bfs_sources.clear()
         dem_number(g)
-        assert sorted(bfs_sources) == list(range(g.n))
+        assert bfs_sources == ["all"]
 
     def test_solver_matches_exhaustive_search(self):
         for seed in range(12):
@@ -455,6 +458,10 @@ def test_parent_count_rows_match_the_oracles(g):
     assert [set(bits(col)) for col in mm] == oracles.monitor_columns(g.n, list(g.edges))
     for x in range(g.n):
         assert monitored_edges(g, x) == monitored_edges_naive(g, x)
+    for x in (-1, g.n):
+        for route in (monitored_edges, monitored_edges_naive):
+            with pytest.raises(GraphError):
+                route(g, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -585,8 +592,9 @@ PAW = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])  # a triangle and a pendant
 
 
 class TestLayerLemma:
-    """The matrix is read fibre by fibre and reduced block by block; both
-    rest on every monitor column lying inside one factor layer."""
+    """The value stage reduces the matrix block by block and bounds the
+    search by the blocks; both rest on every monitor column lying inside
+    one factor layer."""
 
     @settings(max_examples=60, deadline=None)
     @given(relabelled_products())
@@ -617,19 +625,14 @@ class TestLayerLemma:
         "spec", ["cycle:9", "bipartite:3:3", "bipartite:4:8", "join(path:4|cycle:5)"]
     )
     def test_prime_graphs_read_each_probe_in_the_whole_set(self, monkeypatch, spec):
+        # the matrix reads every probe's distances in the whole vertex set,
+        # so it asks for no factor layers
         g = build(parse_expr(spec))
         assert factor_layers(g) == ()
-        seen = []
-        kernel = monitoring._single_parent
-
-        def recording(graph, probes):
-            probes = list(probes)
-            seen.extend(fibres for _, fibres in probes)
-            return kernel(graph, probes)
-
-        monkeypatch.setattr(monitoring, "_single_parent", recording)
+        layers = []
+        monkeypatch.setattr(products, "factor_layers", layers.append)
         assert monitor_matrix(g) == monitor_matrix_naive(g)
-        assert seen == [(-1,)] * g.n
+        assert layers == []
 
     def test_cap_comes_before_the_layers_and_any_bfs(self, monkeypatch, bfs_sources):
         g = build(parse_expr("cartesian(cycle:5|cycle:6)"))
@@ -640,6 +643,8 @@ class TestLayerLemma:
             with pytest.raises(CapExceededError):
                 stage(g, max_n=29)
         assert layers == [] and bfs_sources == []
+        monitor_matrix(g, max_n=30)  # the fixture sees this graph's sweep
+        assert bfs_sources == ["all"]
 
     # (value, witness) at the parent of the shared memo; nodes_explored is 1
     MEMO_PINS = {

@@ -270,4 +270,4 @@ class TestFactorLayers:
             assert bfs_sources == [], spec
         # K3,3 has every edge on a chordless square, so its classes are computed
         factor_layers(build(parse_expr("bipartite:3:3")))
-        assert bfs_sources
+        assert bfs_sources == ["all"]
