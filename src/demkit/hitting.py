@@ -55,6 +55,18 @@ searched once. Only a bound with slack, where bounds alone prune weakly,
 leaves the decision to the branch and bound. One search, with one memo of
 block values, serves the walk.
 
+The walk keeps layer quotas. When a partition's block values sum to the size
+walked for, every set of that size hitting the columns holds exactly val(B)
+vertices of each block B and none outside the blocks: the blocks are
+disjoint and each needs val(B). So a block whose quota is used up closes,
+and its vertices are no longer candidates; they lie in no set listed. On
+products this is the paper's lower bound case: where dem(G box H) =
+|G|·dem(H), every minimum set gives each of the |G| H-layers exactly dem(H)
+monitors. The rule holds wherever the root partition bound is the value,
+the bound attained or not. The walk also starts from the
+minimum set the value search found (kept by :class:`Layers`), whose lowest
+vertex it takes untested.
+
 Where the disjoint-column bound fails to prune, ``_solve`` can also try a
 partition bound (``partition_bound``). Take a partition of the vertices into
 disjoint blocks and add up, over the blocks, the exact hitting number of the
@@ -290,12 +302,16 @@ def _branching(cols: Sequence[int]) -> list[int]:
 
 
 class Layers(tuple):
-    """Partitions that carry one memo of block values for
-    :func:`partition_bound`: every solve given the same ``Layers`` shares
-    it, so a value search and the walk after it solve each block once."""
+    """Partitions that carry what the value search and the walk after it
+    share: one memo of block values for :func:`partition_bound`, so each
+    block is solved once, and ``found``, the minimum set (a vertex mask)
+    that :func:`minimum_hitting_set` found, or None, which the walk takes as
+    its root completion when it hits the walk's columns with ``size``
+    vertices."""
 
     def __init__(self, parts: Partitions):
         self.memo: dict = {}
+        self.found: int | None = None
 
 
 class _Search:
@@ -324,23 +340,32 @@ def partition_bound(
     """
     if memo is None:
         memo = {}
-    best = 0
-    for blocks in parts:
-        inside: dict[int, list[int]] = {}
-        for c in cols:
-            b = blocks[(c & -c).bit_length() - 1]  # c's only possible block
-            if not c & ~b:
-                inside.setdefault(b, []).append(c)
-        total = 0
-        for b, group in inside.items():
-            low = (b & -b).bit_length() - 1
-            key = frozenset(c >> low for c in group)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = _solve(reduce_columns(group), _Search())[0]
-            total += value
-        best = max(best, total)
-    return best
+    return max(
+        (sum(_block_values(cols, blocks, memo).values()) for blocks in parts),
+        default=0,
+    )
+
+
+def _block_values(
+    cols: Sequence[int], blocks: Sequence[int], memo: dict
+) -> dict[int, int]:
+    """The exact hitting number of the columns lying wholly inside each
+    block of one partition that holds any, by block mask: the terms of
+    :func:`partition_bound`'s sum, memoized as there."""
+    inside: dict[int, list[int]] = {}
+    for c in cols:
+        b = blocks[(c & -c).bit_length() - 1]  # c's only possible block
+        if not c & ~b:
+            inside.setdefault(b, []).append(c)
+    values: dict[int, int] = {}
+    for b, group in inside.items():
+        low = (b & -b).bit_length() - 1
+        key = frozenset(c >> low for c in group)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _solve(reduce_columns(group), _Search())[0]
+        values[b] = value
+    return values
 
 
 def _solve(
@@ -442,12 +467,16 @@ def minimum_hitting_set(
     The columns need not be reduced; callers that solve one column set more
     than once reduce it once (:func:`reduce_columns`) and pass the result to
     every solve. ``upper``, when given, must be the size of a known valid
-    hitting set. ``parts`` are vertex partitions for :func:`partition_bound`.
+    hitting set. ``parts`` are vertex partitions for :func:`partition_bound`;
+    given as :class:`Layers`, they keep the set found (None when the value
+    is ``upper`` and the search found no set that small).
     """
     if any(c == 0 for c in columns):
         raise ValueError("unhittable empty column")
     search = _Search(parts)
-    value, _ = _solve(columns, search, cap=upper, parts=parts)
+    value, found = _solve(columns, search, cap=upper, parts=parts)
+    if isinstance(parts, Layers):
+        parts.found = found
     return value, search.nodes
 
 
@@ -481,12 +510,36 @@ def _lexicographic_walk(
     column (leaves it unhit with no later vertex): every later candidate
     strands it too, and a completion's lowest vertex comes before it. One
     search, with one memo of block values, serves the walk.
+
+    Layer quotas. A partition whose block values (:func:`_block_values`, on
+    these columns) sum to ``size`` is tight: every set of ``size`` vertices
+    hitting the columns holds exactly val(B) vertices of each block B and
+    none outside them, since the blocks are disjoint and each needs val(B).
+    So only the vertices of blocks with quota left are candidates: choosing
+    v lowers the quota of v's block, a block whose quota reaches 0 closes,
+    and backtracking reopens it. A closed vertex lies in no listed set, so
+    the sets listed do not change. Partitions that are not tight restrict
+    nothing. The walk starts from the set the value search found (``found``
+    of :class:`Layers`), when it hits the columns with ``size`` vertices, as
+    the root's completion.
     """
     search = _Search(parts)
     chosen: list[int] = []
+    quotas = []  # (blocks, quota left per block) of each tight partition
+    candidates = -1
+    if 0 not in columns:
+        for blocks in parts:
+            values = _block_values(columns, blocks, search.memo)
+            if sum(values.values()) == size:
+                quota = {b: k for b, k in values.items() if k}
+                quotas.append((blocks, quota))
+                candidates &= reduce(or_, quota, 0)
+    root = parts.found if isinstance(parts, Layers) else None
+    if root is None or root.bit_count() != size or not all(c & root for c in columns):
+        root = 0
 
     def walk(
-        uncovered: Sequence[int], start: int, completion: int
+        uncovered: Sequence[int], start: int, completion: int, candidates: int
     ) -> Iterator[tuple[int, ...]]:
         if not uncovered:
             if len(chosen) < size:
@@ -494,7 +547,7 @@ def _lexicographic_walk(
             yield tuple(chosen)
             return
         budget = size - len(chosen) - 1
-        reach = reduce(or_, uncovered) >> start << start
+        reach = (reduce(or_, uncovered) >> start << start) & candidates
         while reach:
             low = reach & -reach
             reach ^= low
@@ -524,11 +577,19 @@ def _lexicographic_walk(
                         )
                         if found > budget:
                             continue
+            closed = 0
+            for blocks, quota in quotas:
+                b = blocks[v]
+                quota[b] -= 1
+                if not quota[b]:
+                    closed |= b
             chosen.append(v)
-            yield from walk(rest, v + 1, kept)
+            yield from walk(rest, v + 1, kept, candidates & ~closed)
             chosen.pop()
+            for blocks, quota in quotas:
+                quota[blocks[v]] += 1
 
-    return walk(columns, 0, 0)
+    return walk(columns, 0, root, candidates)
 
 
 def lexicographically_smallest(

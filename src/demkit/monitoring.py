@@ -186,7 +186,9 @@ def _solve(
     the monitor columns (after the cap check), the factor layers with one
     memo of block values, the columns reduced block by block once for every
     solve that follows, the greedy seed, and the minimum value with the
-    nodes its branch and bound explored."""
+    nodes its branch and bound explored. The layers keep a minimum set for
+    the walk: the one the search found, or else the greedy set, whose size
+    the value then is."""
     matrix = monitor_matrix(g, max_n=max_n)
     parts = hitting.Layers(products.factor_layers(g))
     greedy = greedy_dem(g, matrix)
@@ -194,6 +196,8 @@ def _solve(
     value, nodes = hitting.minimum_hitting_set(
         cols, upper=len(greedy), parts=parts
     )
+    if parts.found is None:
+        parts.found = sum(1 << v for v in greedy)
     return cols, greedy, parts, value, nodes
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from demkit import hitting
 from demkit.errors import EnumerationCapExceededError
 from demkit.hitting import (
+    Layers,
     _branching,
     _components,
     _Search,
@@ -72,6 +73,14 @@ def test_size_above_the_minimum_is_refused():
         lexicographically_smallest(cols, 2)
     with pytest.raises(ValueError):
         enumerate_minimum_sets(cols, 2, 10)
+
+
+def test_an_unhittable_column_lists_no_set():
+    # the walk's layer quotas read block values only of hittable columns
+    for parts in ((), ((0b11, 0b11),)):
+        assert enumerate_minimum_sets([0b11, 0], 1, 10, parts) == ()
+        with pytest.raises(ValueError, match="no hitting set"):
+            lexicographically_smallest([0b11, 0], 1, parts)
 
 
 def test_enumeration_is_complete_and_ordered():
@@ -422,6 +431,77 @@ def test_witness_is_the_first_minimum_set_in_combinations_order(case):
     for columns in (cols, reduce_columns(cols)):
         assert lexicographically_smallest(columns, size, parts) == first
         assert enumerate_minimum_sets(columns, size, len(minimum), parts) == minimum
+
+
+# vertex 0 lies in no block and vertex 1 in a block of value 0 (no column
+# lies inside it); {2, 3} and {4, 5} need one vertex each, and so does the
+# whole set: {2, 5} is its only minimum set
+QUOTA_COLUMNS = masks({2, 3}, {4, 5}, {0, 2}, {1, 5}, {3, 5})
+TIGHT = ((0, 0b10, 0b1100, 0b1100, 0b110000, 0b110000),)
+LOOSE = ((0b10001, 0b110, 0b110, 0b1000, 0b10001, 0b100000),)  # none inside
+
+
+@pytest.mark.parametrize("listing", ["witness", "enumeration"])
+def test_walk_skips_every_vertex_a_tight_partition_closes(monkeypatch, listing):
+    bounds = _recording(monkeypatch, "disjoint_lower_bound")
+
+    def walk(parts):
+        bounds.clear()
+        if listing == "witness":
+            return (lexicographically_smallest(QUOTA_COLUMNS, 2, parts),)
+        return enumerate_minimum_sets(QUOTA_COLUMNS, 2, 10, parts)
+
+    assert walk(()) == ((2, 5),)
+    free = list(bounds)
+    # vertices 0 and 1 are rejected, 2's greedy set {5} fits, and 3 and 4
+    # below 2 are rejected
+    assert free == [
+        (sorted(masks({2, 3}, {1, 5}, {3, 5}, {4, 5})),),
+        (sorted(masks({2}, {2, 3}, {3, 5}, {4, 5})),),
+        (sorted(masks({5}, {3, 5}, {4, 5})),),
+        (sorted(masks({5}, {4, 5})),),
+        (masks({5}),),
+    ]
+    # block values 0 + 1 + 1 = 2, the size: 0 and 1 are never candidates,
+    # and once 2 fills its block, neither is 3
+    assert walk(TIGHT) == ((2, 5),)
+    assert bounds == [free[2], free[4]]
+    # values 0 + 0 + 0 + 0 < 2: the partition restricts nothing
+    assert walk(LOOSE) == ((2, 5),)
+    assert bounds == free
+
+
+def test_walk_starts_from_the_set_its_layers_carry(monkeypatch):
+    bounds = _recording(monkeypatch, "disjoint_lower_bound")
+    cols = masks({0, 1}, {2, 3})
+    parts = Layers(())
+    assert lexicographically_smallest(cols, 2, parts) == (0, 2)
+    assert len(bounds) == 1  # vertex 0: its greedy set {2} fits
+    bounds.clear()
+    parts.found = masks({0, 2})[0]  # the root's completion: no test at all
+    assert lexicographically_smallest(cols, 2, parts) == (0, 2)
+    assert bounds == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_columns(), st.integers(0, 1000))
+def test_a_root_completion_changes_no_listed_set(case, pick):
+    n, cols, parts = case
+    size = len(_first_hitting_set(cols, n))
+    minimum = tuple(
+        subset
+        for subset in combinations(range(n), size)
+        if all(c & sum(1 << v for v in subset) for c in cols)
+    )
+    # a minimum set, a set one vertex short or one too many, and no set
+    start = sum(1 << v for v in minimum[pick % len(minimum)])
+    for found in (start, start & (start - 1), start | 1 << n, None):
+        layers = Layers(parts)
+        layers.found = found
+        for columns in (cols, reduce_columns(cols)):
+            assert lexicographically_smallest(columns, size, layers) == minimum[0]
+            listed = enumerate_minimum_sets(columns, size, len(minimum), layers)
+            assert listed == minimum
 
 
 def _greedy_by_rows(cols, n):

@@ -613,6 +613,42 @@ class TestLayerLemma:
         assert matrix == monitor_matrix_naive(g, max_n=g.n)
         assert reduce_in_blocks(matrix, factor_layers(g)) == reduce_columns(matrix)
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_factors(4), st.data())
+    def test_tight_layers_hold_their_quota_in_every_minimum_set(self, a, data):
+        # where a partition's block values sum to dem, every minimum set
+        # holds val(B) vertices of each block B: the walk skips the vertices
+        # of full blocks and lists the same sets
+        b = data.draw(small_factors(min(5, 16 // a.n)))
+        g, _ = cartesian(a, b)
+        g = _relabelled(g, data.draw(st.permutations(range(g.n))))
+        edges = list(g.edges)
+        columns = oracles.monitor_columns(g.n, edges)
+        dem = oracles.brute_dem(g.n, edges)
+        minimum = [
+            set(s)
+            for s in combinations(range(g.n), dem)
+            if all(col & set(s) for col in columns)
+        ]
+        for blocks in oracles.factor_layers(g.n, edges):
+            values = {}
+            for mask in blocks:
+                block = {v for v in range(g.n) if mask >> v & 1}
+                inside = [col for col in columns if col <= block]
+                values[frozenset(block)] = next(
+                    k
+                    for k in range(len(block) + 1)
+                    if any(
+                        all(col & set(s) for col in inside)
+                        for s in combinations(sorted(block), k)
+                    )
+                )
+            if sum(values.values()) == dem:
+                for s in minimum:
+                    assert all(len(s & B) == k for B, k in values.items()), s
+        result = dem_number(g, True, max_n=g.n)
+        assert result.all_minimum_sets == tuple(tuple(sorted(s)) for s in minimum)
+
     def test_a_column_in_no_block_reduces_the_whole_set(self):
         # {1, 3} and {0, 1, 2} lie in neither block: per block, {0, 1, 2}
         # would survive beside {0, 1}, and skipping them would lose {1, 3}
