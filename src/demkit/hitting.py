@@ -10,8 +10,10 @@ dimensions (one column per pair: the vertices that resolve it).
 fewest candidates (ties by candidate coverage, then mask value), prune with a
 greedy disjoint-column lower bound, and split into independent components
 whenever the uncovered columns fall apart. Sibling branches exclude already
-tried vertices, so no partial solution is explored twice. Given a target
-size, it stops at the first solution that small: ``exists_hitting_set``.
+tried vertices, so no partial solution is explored twice. A solve's shared
+state (the nodes explored, the partitions and their memo of block values)
+is one ``_Search``. Given a target size, the search (``_search_below``)
+stops at the first solution that small: ``exists_hitting_set``.
 Its upper bound is the greedy set less its redundant vertices
 (``_minimal``): one pass over the columns keeps every seed vertex that some
 column meets alone, and the others are dropped from the highest id down
@@ -41,31 +43,11 @@ column joins it, and runs its merge loop only when the columns really split.
 ``_lexicographic_walk`` is the one loop that lists minimum sets in order,
 for the witness (``lexicographically_smallest``, its first set) and the
 enumeration (``enumerate_minimum_sets``) alike: a depth-first search in id
-order, include first, that descends where its test accepts and backtracks
-where no set lies below. Every rejection is proven, so the first set it
-reaches is the lexicographically smallest and no minimum set is missed. The
-test takes the columns left unhit past a candidate vertex (masked, ids never
-shift), deduplicated but not reduced (the reduction is quadratic, the
-search is exact on any columns, and sorted they give the reduced columns'
-disjoint bound). It decides by the bounds and the pruned greedy set
-wherever they can. On products the partition bound is
-tight, so a candidate whose bound meets the budget is accepted undecided: a
-wrong branch dies a level or two down by its bounds, and each prefix is
-searched once. Only a bound with slack, where bounds alone prune weakly,
-leaves the decision to the branch and bound. One search, with one memo of
-block values, serves the walk.
-
-The walk keeps layer quotas. When a partition's block values sum to the size
-walked for, every set of that size hitting the columns holds exactly val(B)
-vertices of each block B and none outside the blocks: the blocks are
-disjoint and each needs val(B). So a block whose quota is used up closes,
-and its vertices are no longer candidates; they lie in no set listed. On
-products this is the paper's lower bound case: where dem(G box H) =
-|G|·dem(H), every minimum set gives each of the |G| H-layers exactly dem(H)
-monitors. The rule holds wherever the root partition bound is the value,
-the bound attained or not. The walk also starts from the
-minimum set the value search found (kept by :class:`Layers`), whose lowest
-vertex it takes untested.
+order, include first, whose every rejection is proven, so the first set it
+reaches is the lexicographically smallest and no minimum set is missed. Its
+docstring describes the test of each candidate and the layer quotas, which
+restrict the candidates where a partition bound is the size walked for (on
+products, the paper's lower bound case).
 
 Where the disjoint-column bound fails to prune, ``_solve`` can also try a
 partition bound (``partition_bound``). Take a partition of the vertices into
@@ -316,30 +298,30 @@ class Layers(tuple):
 
 class _Search:
     """What one solve shares across its recursion: the nodes explored and
-    the memo of block values for :func:`partition_bound`, that of ``parts``
-    when they are :class:`Layers`. A walk keeps one for all its solves."""
+    the partitions, as :class:`Layers` (plain partitions are wrapped here,
+    with a memo and ``found`` of their own). A walk keeps one for all its
+    solves."""
 
-    __slots__ = ("nodes", "memo")
+    __slots__ = ("nodes", "parts")
 
     def __init__(self, parts: Partitions = ()):
         self.nodes = 0
-        self.memo: dict = parts.memo if isinstance(parts, Layers) else {}
+        self.parts = parts if isinstance(parts, Layers) else Layers(parts)
 
 
-def partition_bound(
-    cols: Sequence[int], parts: Partitions, memo: dict | None = None
-) -> int:
+def partition_bound(cols: Sequence[int], parts: Partitions) -> int:
     """Largest, over the partitions, sum over the blocks of the exact hitting
     number of the columns lying wholly inside the block.
 
     A hitting set meets each block in a set hitting that block's columns, and
     the blocks are disjoint, so every sum lower-bounds the hitting number.
-    ``memo`` maps the set of a block's columns, with ids shifted down to the
-    block's lowest vertex, to its value, so that copies of one layer are
-    solved once. The block solves' own nodes are not counted.
+    Block values are memoized by the set of a block's columns, with ids
+    shifted down to the block's lowest vertex, so that copies of one layer
+    are solved once; the memo is that of ``parts`` when they are
+    :class:`Layers`, else a fresh one. The block solves' own nodes are not
+    counted.
     """
-    if memo is None:
-        memo = {}
+    memo = parts.memo if isinstance(parts, Layers) else {}
     return max(
         (sum(_block_values(cols, blocks, memo).values()) for blocks in parts),
         default=0,
@@ -369,11 +351,7 @@ def _block_values(
 
 
 def _solve(
-    cols: Sequence[int],
-    search: _Search,
-    cap: int | None = None,
-    target: int = -1,
-    parts: Partitions = (),
+    cols: Sequence[int], search: _Search, cap: int | None = None
 ) -> tuple[int, int | None]:
     """Exact minimum hitting size of nonempty columns, and the set found.
 
@@ -383,21 +361,25 @@ def _solve(
     leaf or the union over the components. ``cap`` (when given) bounds the
     search from above: only solutions smaller than ``cap`` are searched for,
     and ``cap`` is returned if none exists, with no set (None) unless the
-    seed has that size. The search stops at the first solution of size <=
-    ``target`` and returns it, achievable but not necessarily minimum.
-    ``parts`` feeds :func:`partition_bound`, tried at a node only when the
-    disjoint-column bound failed to prune it.
+    seed has that size.
     """
     if not cols:
         return 0, 0
     comps = _components(cols)
     if len(comps) > 1:
-        # the components' sets are disjoint: their sum is their union
-        total, hit = map(sum, zip(*(_solve(c, search, parts=parts) for c in comps)))
-        return total, hit
-    return _search_below(
-        cols, search, _minimal(cols, greedy_hitting(cols)), cap, target, parts
-    )
+        return _solve_components(comps, search)
+    return _search_below(cols, search, _minimal(cols, greedy_hitting(cols)), cap)
+
+
+def _solve_components(comps: list[list[int]], search: _Search) -> tuple[int, int]:
+    """The summed minimum hitting size of independent components, and the
+    union of their sets."""
+    total = hit = 0
+    for comp in comps:
+        size, found = _solve(comp, search)
+        total += size
+        hit |= found
+    return total, hit
 
 
 def _search_below(
@@ -405,12 +387,21 @@ def _search_below(
     search: _Search,
     seed: int,
     cap: int | None,
-    target: int,
-    parts: Partitions,
+    target: int = -1,
 ) -> tuple[int, int | None]:
     """The branch and bound of :func:`_solve`, started from the hitting set
     ``seed`` (a vertex mask) on columns that need not form one component;
-    ``cap``, ``target`` and ``parts`` act as there."""
+    ``cap`` acts as there. The search stops at the first solution of size
+    <= ``target`` and returns it, achievable but not necessarily minimum.
+    ``search.parts`` feed :func:`partition_bound`, tried at a node only when
+    the disjoint-column bound failed to prune it.
+
+    A child drops the columns its vertex hits and bans the vertices its
+    earlier siblings took, which leaves no column empty: the branch column
+    is a smallest one, with k vertices, fewer than k of them are banned, and
+    every column has at least k.
+    """
+    parts = search.parts
     best_set = seed
     best = best_set.bit_count()
     if cap is not None and cap < best:
@@ -429,31 +420,21 @@ def _search_below(
             return
         comps = _components(uncovered)
         if len(comps) > 1:
-            total, hit = map(sum, zip(*(_solve(c, search, parts=parts) for c in comps)))
+            total, hit = _solve_components(comps, search)
             if size + total < best:
                 best, best_set = size + total, chosen | hit
             return
         if size + disjoint_lower_bound(uncovered) >= best:
             return
-        if parts and size + partition_bound(uncovered, parts, search.memo) >= best:
+        if parts and size + partition_bound(uncovered, parts) >= best:
             return
         banned = 0
         for v in _branching(uncovered):
-            rest: list[int] = []
-            dead = False
-            for c in uncovered:
-                if (c >> v) & 1:
-                    continue
-                c2 = c & ~banned
-                if c2 == 0:
-                    dead = True
-                    break
-                rest.append(c2)
-            if not dead:
-                rec(rest, chosen | 1 << v, size + 1)
-                if best <= target:
-                    return
-            banned |= 1 << v
+            bit = 1 << v
+            rec([c & ~banned for c in uncovered if not c & bit], chosen | bit, size + 1)
+            if best <= target:
+                return
+            banned |= bit
 
     rec(cols, 0, 0)
     return best, best_set
@@ -474,20 +455,20 @@ def minimum_hitting_set(
     if any(c == 0 for c in columns):
         raise ValueError("unhittable empty column")
     search = _Search(parts)
-    value, found = _solve(columns, search, cap=upper, parts=parts)
-    if isinstance(parts, Layers):
-        parts.found = found
+    value, search.parts.found = _solve(columns, search, upper)
     return value, search.nodes
 
 
 def exists_hitting_set(
     columns: Sequence[int], budget: int, parts: Partitions = ()
 ) -> bool:
-    """True iff some hitting set of size <= budget exists."""
+    """True iff some hitting set of size <= budget exists: the branch and
+    bound from the pruned greedy set, stopped at the first set that small."""
     if budget < 0 or any(c == 0 for c in columns):
         return False
-    found, _ = _solve(sorted(set(columns)), _Search(parts), budget + 1, budget, parts)
-    return found <= budget
+    cols = sorted(set(columns))
+    seed = _minimal(cols, greedy_hitting(cols))
+    return _search_below(cols, _Search(parts), seed, budget + 1, budget)[0] <= budget
 
 
 def _lexicographic_walk(
@@ -498,18 +479,21 @@ def _lexicographic_walk(
     Tries, in id order, the vertices past the last one chosen that lie in the
     union of the unhit columns. Each candidate is tested on the columns it
     leaves unhit, masked to later vertices (ids never shift) and
-    deduplicated, against the rest of the budget: rejected when the larger
-    of the disjoint-column and the partition bound exceeds the budget;
-    accepted with the pruned greedy set as completion when that set fits;
-    accepted undecided when the bound equals the budget (the walk descends,
-    and backtracks if no set lies below); and only when the bound leaves
-    slack, decided by the branch and bound started from that greedy set,
-    whose set is a completion too. The walk descends into a completion's
-    lowest vertex with no test, keeping the rest; vertices below it are
-    still tested. The walk stops at the first candidate that strands a
-    column (leaves it unhit with no later vertex): every later candidate
-    strands it too, and a completion's lowest vertex comes before it. One
-    search, with one memo of block values, serves the walk.
+    deduplicated but not reduced (the reduction is quadratic, and sorted
+    they give the reduced columns' disjoint bound), against the rest of the
+    budget: rejected when the larger of the disjoint-column and the
+    partition bound exceeds the budget; accepted with the pruned greedy set
+    as completion when that set fits; accepted undecided when the bound
+    equals the budget (the walk descends, and backtracks if no set lies
+    below: on products the partition bound is tight, so a wrong branch dies
+    a level or two down); and only when the bound leaves slack, decided by
+    the branch and bound started from that greedy set, whose set is a
+    completion too. The walk descends into a completion's lowest vertex with
+    no test, keeping the rest; vertices below it are still tested. The walk
+    stops at the first candidate that strands a column (leaves it unhit with
+    no later vertex): every later candidate strands it too, and a
+    completion's lowest vertex comes before it. One search, with one memo of
+    block values, serves the walk.
 
     Layer quotas. A partition whose block values (:func:`_block_values`, on
     these columns) sum to ``size`` is tight: every set of ``size`` vertices
@@ -519,22 +503,25 @@ def _lexicographic_walk(
     v lowers the quota of v's block, a block whose quota reaches 0 closes,
     and backtracking reopens it. A closed vertex lies in no listed set, so
     the sets listed do not change. Partitions that are not tight restrict
-    nothing. The walk starts from the set the value search found (``found``
-    of :class:`Layers`), when it hits the columns with ``size`` vertices, as
-    the root's completion.
+    nothing. On products this is the paper's lower bound case: where
+    dem(G box H) = |G|·dem(H), every minimum set gives each H-layer exactly
+    dem(H) monitors. The walk starts from the set the value search found
+    (``found`` of :class:`Layers`), when it hits the columns with ``size``
+    vertices, as the root's completion.
     """
     search = _Search(parts)
+    parts = search.parts
     chosen: list[int] = []
     quotas = []  # (blocks, quota left per block) of each tight partition
     candidates = -1
     if 0 not in columns:
         for blocks in parts:
-            values = _block_values(columns, blocks, search.memo)
+            values = _block_values(columns, blocks, parts.memo)
             if sum(values.values()) == size:
                 quota = {b: k for b, k in values.items() if k}
                 quotas.append((blocks, quota))
                 candidates &= reduce(or_, quota, 0)
-    root = parts.found if isinstance(parts, Layers) else None
+    root = parts.found
     if root is None or root.bit_count() != size or not all(c & root for c in columns):
         root = 0
 
@@ -564,7 +551,7 @@ def _lexicographic_walk(
                 later = sorted(set(later))
                 bound = disjoint_lower_bound(later)
                 if parts and bound <= budget:
-                    bound = max(bound, partition_bound(later, parts, search.memo))
+                    bound = max(bound, partition_bound(later, parts))
                 if bound > budget:
                     continue
                 kept = _minimal(later, greedy_hitting(later))
@@ -573,7 +560,7 @@ def _lexicographic_walk(
                         kept = 0  # undecided
                     else:
                         found, kept = _search_below(
-                            later, search, kept, budget + 1, budget, parts
+                            later, search, kept, budget + 1, budget
                         )
                         if found > budget:
                             continue

@@ -11,7 +11,9 @@ from demkit.hitting import (
     Layers,
     _branching,
     _components,
+    _minimal,
     _Search,
+    _search_below,
     _solve,
     bits,
     disjoint_lower_bound,
@@ -244,16 +246,23 @@ def test_solve_returns_a_set_of_the_size_it_reports(case, cap, target, with_part
     n, cols, parts = case
     assume(cap is None or cap > target)  # as exists_hitting_set sets them
     size = len(_first_hitting_set(cols, n))
-    found, hit = _solve(cols, _Search(), cap, target, parts if with_parts else ())
-    if hit is None:  # nothing smaller than the cap
-        assert found == cap <= size
-        return
-    assert hit.bit_count() == found
-    assert all(c & hit for c in cols)
-    if size <= target:
-        assert size <= found <= target
-    else:
-        assert found == size
+    search = _Search(parts if with_parts else ())
+    seed = _minimal(cols, greedy_hitting(cols))
+    # the whole search, split into components at the root, and the search
+    # stopped at a target, as exists_hitting_set and the witness walk run it
+    for stop, (found, hit) in [
+        (-1, _solve(cols, search, cap)),
+        (target, _search_below(cols, search, seed, cap, target)),
+    ]:
+        if hit is None:  # nothing smaller than the cap
+            assert found == cap <= size
+            continue
+        assert hit.bit_count() == found
+        assert all(c & hit for c in cols)
+        if size <= stop:
+            assert size <= found <= stop
+        else:
+            assert found == size
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,10 +280,14 @@ def test_solve_returns_a_set_of_the_size_it_reports(case, cap, target, with_part
 def test_solve_starts_from_the_greedy_set_less_its_redundant_vertices(case):
     _, cols, _ = case
     assume(len(_components(cols)) == 1)  # a split solves each component
+    with pytest.MonkeyPatch.context() as patch:
+        starts = _recording(patch, "_search_below")
+        _solve(cols, _Search())
+    seed = starts[0][2]  # the root search's
     search = _Search()
-    size, seed = _solve(cols, search, target=len(cols))  # stops at the seed
+    size, kept = _search_below(cols, search, seed, None, len(cols))  # stops at once
     greedy = sum(1 << v for v in greedy_hitting(cols))
-    assert search.nodes == 0 and seed.bit_count() == size
+    assert search.nodes == 0 and kept == seed and seed.bit_count() == size
     assert seed & ~greedy == 0
     assert all(c & seed for c in cols)
     for v in bits(seed):
@@ -320,7 +333,7 @@ def _recording(monkeypatch, name):
 
 def test_walk_restricts_blocks_as_it_restricts_columns(monkeypatch):
     # columns keep their ids, masked to the vertices past the candidate;
-    # the partitions pass unchanged
+    # the partitions pass unchanged, as the search state's Layers
     bounds = _recording(monkeypatch, "partition_bound")
     cols = masks({0, 2}, {1, 3})
     parts = ((0b0101, 0b1010, 0b0101, 0b1010),)
@@ -334,7 +347,7 @@ def test_walk_restricts_blocks_as_it_restricts_columns(monkeypatch):
         masks({2}),
         masks({3}),
     ]
-    assert all(p is parts for _, p, _ in bounds)
+    assert all(p == parts for _, p in bounds)
 
 
 def test_walk_descends_into_a_completion_untested(monkeypatch):

@@ -283,6 +283,19 @@ class TestDemNumber:
         assert result.nodes_explored == self.PINNED_NODES[spec]
         assert dem_value(g, max_n=g.n) == result.value
 
+    def test_a_capped_search_that_finds_no_set_walks_from_the_greedy_set(self):
+        # the raw greedy set (3, 5) has 2 vertices, the pruned seed on the
+        # reduced columns 3: the value search, capped at 2, finds no set
+        g = build(parse_expr("randconn:8:1/2:seed=0"))
+        result = dem_number(g)
+        assert (result.value, result.witness) == (2, (1, 6))
+        assert (result.nodes_explored, result.greedy) == (1, (3, 5))
+        matrix = monitor_matrix(g)
+        layers = hitting.Layers(factor_layers(g))
+        cols = reduce_in_blocks(matrix, layers)
+        assert minimum_hitting_set(cols, upper=2, parts=layers) == (2, 1)
+        assert layers.found is None
+
     @pytest.mark.parametrize(
         "spec, value",
         [
@@ -719,10 +732,13 @@ class TestLayerLemma:
 
         bound = hitting.partition_bound
 
-        def recording(cols, parts, memo=None):
-            before = set(memo)
-            value = bound(cols, parts, memo)
-            solved[phase[-1]] |= set(memo) - before
+        memos = []
+
+        def recording(cols, parts):
+            memos.append(parts.memo)
+            before = set(parts.memo)
+            value = bound(cols, parts)
+            solved[phase[-1]] |= set(parts.memo) - before
             return value
 
         monkeypatch.setattr(hitting, "partition_bound", recording)
@@ -738,3 +754,4 @@ class TestLayerLemma:
         assert result.nodes_explored == 1
         assert solved["search"] and solved["walk"]
         assert not solved["search"] & solved["walk"]
+        assert all(memo is memos[0] for memo in memos)  # one for the whole call
