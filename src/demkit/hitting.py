@@ -21,13 +21,11 @@ while every column stays hit. Greedy picks that later picks made redundant
 would otherwise leave a gap the search has to close by branching.
 
 No solve needs reduced columns, since a duplicate or a superset of another
-column changes no answer. The reduction (``reduce_columns``) tests each
-column against every one kept before it, so whoever builds a column set
-reduces it once and passes the result to every solve of it: the value
-search and the walk of the witness or the enumeration. A product's monitor
-columns are reduced block by block (``reduce_in_blocks``): at n = 1,024 on
-a 2-vCPU host that took 6 ms on C32 box C32 and 17 ms on Q10, against 187
-and 998 ms for the whole set at once.
+column changes no answer, only the work. So whoever builds a column set
+reduces it once (``reduce_columns``) and passes the result to every solve
+of it: the value search and the walk of the witness or the enumeration.
+The reduction tests each column only against the kept columns whose lowest
+vertex lies in it, since a column's subsets have their lowest vertex there.
 
 The per-call kernels of ``_solve`` work on whole masks. Each vertex's
 count of columns is kept bit-sliced (``_coverage_digits``): ``digits[j]``
@@ -71,7 +69,7 @@ value search and the walk after it solve each block once.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import islice
+from itertools import groupby, islice
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -96,37 +94,33 @@ def _by_size(c: int) -> tuple[int, int]:
 
 
 def reduce_columns(columns: Iterable[int]) -> list[int]:
-    """Deduplicate and drop every column that is a superset of another."""
-    kept: list[int] = []
-    for c in sorted(set(columns), key=_by_size):
-        if not any(k & c == k for k in kept):
-            kept.append(c)
-    return kept
+    """Deduplicate and drop every column that is a superset of another; the
+    columns kept go by size, then mask.
 
-
-def reduce_in_blocks(columns: Iterable[int], parts: Partitions) -> list[int]:
-    """:func:`reduce_columns` block by block: the same list, when every
-    column has two vertices or more and blocks of two partitions share at
-    most one vertex, as the factor layers' blocks do.
-
-    Then a column lies in at most one block, and columns of two blocks
-    cannot nest, so each block's columns are reduced apart and the results
-    merged in the order of :func:`reduce_columns`. If a column lies in no
-    block, the whole set is reduced at once.
+    A kept column k lies inside c only if k has fewer vertices, as the
+    duplicates are gone, and k's lowest vertex is a vertex of c. So the kept
+    columns are indexed by their lowest vertex, each size group entering the
+    index once it is done, and c is tested only against those indexed under
+    its own vertices. The empty column lies inside every column.
     """
-    columns = list(columns)
-    groups: dict[int, list[int]] = {}
-    for c in columns:
-        v = (c & -c).bit_length() - 1
-        for blocks in parts:
-            if not c & ~blocks[v]:
-                groups.setdefault(blocks[v], []).append(c)
-                break
-        else:
-            return reduce_columns(columns)
-    return sorted(
-        (c for group in groups.values() for c in reduce_columns(group)), key=_by_size
-    )
+    cols = set(columns)
+    if 0 in cols:
+        return [0]
+    kept: list[int] = []
+    lows = 0  # the lowest vertices of the indexed columns
+    by_low: dict[int, list[int]] = {}
+    for _, group in groupby(sorted(cols, key=_by_size), int.bit_count):
+        new = [
+            c
+            for c in group
+            if not any(k & c == k for v in bits(c & lows) for k in by_low[v])
+        ]
+        for k in new:
+            low = k & -k
+            by_low.setdefault(low.bit_length() - 1, []).append(k)
+            lows |= low
+        kept += new
+    return kept
 
 
 def _components(cols: Sequence[int]) -> list[list[int]]:
@@ -479,8 +473,8 @@ def _lexicographic_walk(
     Tries, in id order, the vertices past the last one chosen that lie in the
     union of the unhit columns. Each candidate is tested on the columns it
     leaves unhit, masked to later vertices (ids never shift) and
-    deduplicated but not reduced (the reduction is quadratic, and sorted
-    they give the reduced columns' disjoint bound), against the rest of the
+    deduplicated but not reduced (sorted, they give the reduced columns'
+    disjoint bound, and no solve needs them reduced), against the rest of the
     budget: rejected when the larger of the disjoint-column and the
     partition bound exceeds the budget; accepted with the pruned greedy set
     as completion when that set fits; accepted undecided when the bound

@@ -34,9 +34,8 @@ for G = A box B and an edge e of the A-layer at B-coordinate b, the probes
 monitoring e lie in that layer. Distances add over the coordinates. From
 x = (a, b') with b' != b, a shortest path to any target makes its A-moves
 at b' and so avoids e; from x in the layer, a target at another
-B-coordinate is reached by making its B-moves first. The value stage
-reduces the columns block by block on it (``hitting.reduce_in_blocks``),
-and bounds the search by the blocks (``hitting.partition_bound``).
+B-coordinate is reached by making its B-moves first. The search is
+bounded by the blocks on it (``hitting.partition_bound``).
 
 The ``*_naive`` twins follow the definition instead: they re-run the
 single-source distances with each edge removed in turn, and exist as the
@@ -183,16 +182,16 @@ def _solve(
     g: Graph, max_n: int
 ) -> tuple[list[int], tuple[int, ...], hitting.Layers, int, int]:
     """The value stage shared by :func:`dem_value` and :func:`dem_number`:
-    the monitor columns (after the cap check), the factor layers with one
-    memo of block values, the columns reduced block by block once for every
-    solve that follows, the greedy seed, and the minimum value with the
-    nodes its branch and bound explored. The layers keep a minimum set for
-    the walk: the one the search found, or else the greedy set, whose size
-    the value then is."""
+    the monitor columns (after the cap check), reduced once for every solve
+    that follows, the factor layers with one memo of block values for the
+    partition bound, the greedy seed, and the minimum value with the nodes
+    its branch and bound explored. The layers keep a minimum set for the
+    walk: the one the search found, or else the greedy set, whose size the
+    value then is."""
     matrix = monitor_matrix(g, max_n=max_n)
+    cols = hitting.reduce_columns(matrix)
     parts = hitting.Layers(products.factor_layers(g))
     greedy = greedy_dem(g, matrix)
-    cols = hitting.reduce_in_blocks(matrix, parts)
     value, nodes = hitting.minimum_hitting_set(
         cols, upper=len(greedy), parts=parts
     )

@@ -31,7 +31,6 @@ from demkit.hitting import (
     minimum_hitting_set,
     partition_bound,
     reduce_columns,
-    reduce_in_blocks,
 )
 from demkit.products import cartesian, factor_layers
 
@@ -292,7 +291,7 @@ class TestDemNumber:
         assert (result.nodes_explored, result.greedy) == (1, (3, 5))
         matrix = monitor_matrix(g)
         layers = hitting.Layers(factor_layers(g))
-        cols = reduce_in_blocks(matrix, layers)
+        cols = reduce_columns(matrix)
         assert minimum_hitting_set(cols, upper=2, parts=layers) == (2, 1)
         assert layers.found is None
 
@@ -605,9 +604,9 @@ PAW = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])  # a triangle and a pendant
 
 
 class TestLayerLemma:
-    """The value stage reduces the matrix block by block and bounds the
-    search by the blocks; both rest on every monitor column lying inside
-    one factor layer."""
+    """The value stage bounds the search by the blocks, and the walk gives
+    each block a quota; both rest on every monitor column lying inside one
+    factor layer."""
 
     @settings(max_examples=60, deadline=None)
     @given(relabelled_products())
@@ -624,7 +623,6 @@ class TestLayerLemma:
             assert len(holding) == 1, (col, layers)
         matrix = monitor_matrix(g, max_n=g.n)
         assert matrix == monitor_matrix_naive(g, max_n=g.n)
-        assert reduce_in_blocks(matrix, factor_layers(g)) == reduce_columns(matrix)
 
     @settings(max_examples=40, deadline=None)
     @given(small_factors(4), st.data())
@@ -661,14 +659,6 @@ class TestLayerLemma:
                     assert all(len(s & B) == k for B, k in values.items()), s
         result = dem_number(g, True, max_n=g.n)
         assert result.all_minimum_sets == tuple(tuple(sorted(s)) for s in minimum)
-
-    def test_a_column_in_no_block_reduces_the_whole_set(self):
-        # {1, 3} and {0, 1, 2} lie in neither block: per block, {0, 1, 2}
-        # would survive beside {0, 1}, and skipping them would lose {1, 3}
-        columns = [0b0011, 0b1100, 0b1010, 0b0111]
-        parts = [(0b0011, 0b0011, 0b1100, 0b1100)]
-        assert reduce_columns(columns) == [0b0011, 0b1010, 0b1100]
-        assert reduce_in_blocks(columns, parts) == reduce_columns(columns)
 
     @pytest.mark.parametrize(
         "spec", ["cycle:9", "bipartite:3:3", "bipartite:4:8", "join(path:4|cycle:5)"]
