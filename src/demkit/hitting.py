@@ -45,7 +45,8 @@ order, include first, whose every rejection is proven, so the first set it
 reaches is the lexicographically smallest and no minimum set is missed. Its
 docstring describes the test of each candidate and the layer quotas, which
 restrict the candidates where a partition bound is the size walked for (on
-products, the paper's lower bound case).
+products, the paper's lower bound case), and when it skips a candidate's
+greedy set.
 
 Where the disjoint-column bound fails to prune, ``_solve`` can also try a
 partition bound (``partition_bound``). Take a partition of the vertices into
@@ -63,7 +64,9 @@ of the two partitions gives the paper's lower bound max(|G|·dem(H),
 |H|·dem(G)). The bound tightens as the search bans vertices. Block values
 are memoized with ids shifted down to the block, so copies of one layer are
 solved once. Partitions given as :class:`Layers` carry the memo, so the
-value search and the walk after it solve each block once.
+value search and the walk after it solve each block once. Callers only ask
+whether the bound reaches a value, so it stops once one partition's running
+sum does, and the blocks after it go unsolved.
 """
 
 from __future__ import annotations
@@ -303,12 +306,16 @@ class _Search:
         self.parts = parts if isinstance(parts, Layers) else Layers(parts)
 
 
-def partition_bound(cols: Sequence[int], parts: Partitions) -> int:
+def partition_bound(cols: Sequence[int], parts: Partitions, stop: float) -> int:
     """Largest, over the partitions, sum over the blocks of the exact hitting
-    number of the columns lying wholly inside the block.
+    number of the columns lying wholly inside the block; or, once one
+    partition's running sum reaches ``stop``, that sum, which lies between
+    ``stop`` and the largest.
 
     A hitting set meets each block in a set hitting that block's columns, and
     the blocks are disjoint, so every sum lower-bounds the hitting number.
+    A caller that only asks whether the bound reaches ``stop`` gets the same
+    answer from either value, and blocks past the stop are never solved.
     Block values are memoized by the set of a block's columns, with ids
     shifted down to the block's lowest vertex, so that copies of one layer
     are solved once; the memo is that of ``parts`` when they are
@@ -316,53 +323,63 @@ def partition_bound(cols: Sequence[int], parts: Partitions) -> int:
     counted.
     """
     memo = parts.memo if isinstance(parts, Layers) else {}
-    return max(
-        (sum(_block_values(cols, blocks, memo).values()) for blocks in parts),
-        default=0,
-    )
+    best = 0
+    for blocks in parts:
+        total = 0
+        for _, value in _block_values(cols, blocks, memo):
+            total += value
+            if total >= stop:
+                return total
+        best = max(best, total)
+    return best
 
 
 def _block_values(
     cols: Sequence[int], blocks: Sequence[int], memo: dict
-) -> dict[int, int]:
+) -> Iterator[tuple[int, int]]:
     """The exact hitting number of the columns lying wholly inside each
-    block of one partition that holds any, by block mask: the terms of
-    :func:`partition_bound`'s sum, memoized as there."""
+    block of one partition that holds any, with the block mask: the terms of
+    :func:`partition_bound`'s sum, memoized as there. The columns are
+    grouped at once and each block is solved when its term is asked for."""
     inside: dict[int, list[int]] = {}
     for c in cols:
         b = blocks[(c & -c).bit_length() - 1]  # c's only possible block
         if not c & ~b:
             inside.setdefault(b, []).append(c)
-    values: dict[int, int] = {}
     for b, group in inside.items():
         low = (b & -b).bit_length() - 1
         key = frozenset(c >> low for c in group)
         value = memo.get(key)
         if value is None:
             value = memo[key] = _solve(reduce_columns(group), _Search())[0]
-        values[b] = value
-    return values
+        yield b, value
 
 
 def _solve(
-    cols: Sequence[int], search: _Search, cap: int | None = None
+    cols: Sequence[int],
+    search: _Search,
+    cap: int | None = None,
+    greedy: Sequence[int] | None = None,
 ) -> tuple[int, int | None]:
     """Exact minimum hitting size of nonempty columns, and the set found.
 
     The columns need not be reduced: a duplicate or a superset of another
     column changes no answer, only the work. The set, a vertex mask, is the
     seed (the greedy set less its redundant vertices, :func:`_minimal`), a
-    leaf or the union over the components. ``cap`` (when given) bounds the
-    search from above: only solutions smaller than ``cap`` are searched for,
-    and ``cap`` is returned if none exists, with no set (None) unless the
-    seed has that size.
+    leaf or the union over the components. ``greedy``, when given, is
+    :func:`greedy_hitting`'s set of these columns, which is then not built
+    again. ``cap`` (when given) bounds the search from above: only solutions
+    smaller than ``cap`` are searched for, and ``cap`` is returned if none
+    exists, with no set (None) unless the seed has that size.
     """
     if not cols:
         return 0, 0
     comps = _components(cols)
     if len(comps) > 1:
         return _solve_components(comps, search)
-    return _search_below(cols, search, _minimal(cols, greedy_hitting(cols)), cap)
+    if greedy is None:
+        greedy = greedy_hitting(cols)
+    return _search_below(cols, search, _minimal(cols, greedy), cap)
 
 
 def _solve_components(comps: list[list[int]], search: _Search) -> tuple[int, int]:
@@ -420,7 +437,7 @@ def _search_below(
             return
         if size + disjoint_lower_bound(uncovered) >= best:
             return
-        if parts and size + partition_bound(uncovered, parts) >= best:
+        if parts and size + partition_bound(uncovered, parts, best - size) >= best:
             return
         banned = 0
         for v in _branching(uncovered):
@@ -435,7 +452,11 @@ def _search_below(
 
 
 def minimum_hitting_set(
-    columns: Sequence[int], *, upper: int | None = None, parts: Partitions = ()
+    columns: Sequence[int],
+    *,
+    upper: int | None = None,
+    parts: Partitions = (),
+    greedy: Sequence[int] | None = None,
 ) -> tuple[int, int]:
     """Exact minimum hitting-set size and the number of search nodes.
 
@@ -444,12 +465,14 @@ def minimum_hitting_set(
     every solve. ``upper``, when given, must be the size of a known valid
     hitting set. ``parts`` are vertex partitions for :func:`partition_bound`;
     given as :class:`Layers`, they keep the set found (None when the value
-    is ``upper`` and the search found no set that small).
+    is ``upper`` and the search found no set that small). ``greedy``, when
+    given, must be :func:`greedy_hitting`'s set of these columns; the search
+    seeds from it instead of building it again.
     """
     if any(c == 0 for c in columns):
         raise ValueError("unhittable empty column")
     search = _Search(parts)
-    value, search.parts.found = _solve(columns, search, upper)
+    value, search.parts.found = _solve(columns, search, upper, greedy)
     return value, search.nodes
 
 
@@ -489,6 +512,17 @@ def _lexicographic_walk(
     completion's lowest vertex comes before it. One search, with one memo of
     block values, serves the walk.
 
+    No greedy set for a doomed test. Once a subtree accepted undecided has
+    listed no set, a tight bound has been seen not to promise a set, and
+    greedy sets built under one mostly come out too large. From then on a
+    tight candidate at a level with no completion is accepted undecided
+    without its greedy set. The sets listed and their order do not change:
+    an undecided candidate is searched by descent, and a completion only
+    spares tests. Until a subtree dies the greedy set is built, as on
+    products of complete graphs, where it fits and carries the walk. The
+    levels live on a stack of the walk's own, so no set is too large for
+    Python's recursion limit.
+
     Layer quotas. A partition whose block values (:func:`_block_values`, on
     these columns) sum to ``size`` is tight: every set of ``size`` vertices
     hitting the columns holds exactly val(B) vertices of each block B and
@@ -506,11 +540,12 @@ def _lexicographic_walk(
     search = _Search(parts)
     parts = search.parts
     chosen: list[int] = []
+    marks: list[int] = []  # per chosen vertex: if undecided, sets listed before it
     quotas = []  # (blocks, quota left per block) of each tight partition
     candidates = -1
     if 0 not in columns:
         for blocks in parts:
-            values = _block_values(columns, blocks, parts.memo)
+            values = dict(_block_values(columns, blocks, parts.memo))
             if sum(values.values()) == size:
                 quota = {b: k for b, k in values.items() if k}
                 quotas.append((blocks, quota))
@@ -518,59 +553,73 @@ def _lexicographic_walk(
     root = parts.found
     if root is None or root.bit_count() != size or not all(c & root for c in columns):
         root = 0
-
-    def walk(
-        uncovered: Sequence[int], start: int, completion: int, candidates: int
-    ) -> Iterator[tuple[int, ...]]:
+    listed = 0  # sets listed so far
+    dead = False  # an undecided candidate's subtree has listed no set
+    levels: list[list] = []  # per open level: uncovered, reach, completion, candidates
+    uncovered, start, completion = columns, 0, root
+    while True:
         if not uncovered:
             if len(chosen) < size:
                 raise ValueError("requested size exceeds the minimum hitting size")
             yield tuple(chosen)
-            return
-        budget = size - len(chosen) - 1
-        reach = (reduce(or_, uncovered) >> start << start) & candidates
-        while reach:
-            low = reach & -reach
-            reach ^= low
-            v = low.bit_length() - 1
-            rest = [c for c in uncovered if not c & low]
-            if completion & -completion == low:
-                kept = completion ^ low
-            else:
-                above = -(low << 1)  # the vertices after v
+            listed += 1
+        reach = (reduce(or_, uncovered, 0) >> start << start) & candidates
+        levels.append([uncovered, reach, completion, candidates])
+        while True:  # to the next candidate, backtracking out of spent levels
+            level = levels[-1]
+            uncovered, reach, completion, candidates = level
+            budget = size - len(chosen) - 1
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                mark = -1
+                rest = [c for c in uncovered if not c & low]
+                if completion & -completion == low:
+                    kept = completion ^ low
+                    break
+                above = -(low << 1)  # the vertices after the candidate
                 later = [c & above for c in rest]
                 if 0 in later:
-                    # a column lies wholly below v, so below every later v too
-                    break
+                    # a column lies wholly below it, so below every later one too
+                    reach = 0
+                    continue
                 later = sorted(set(later))
                 bound = disjoint_lower_bound(later)
                 if parts and bound <= budget:
-                    bound = max(bound, partition_bound(later, parts))
+                    bound = max(bound, partition_bound(later, parts, budget + 1))
                 if bound > budget:
                     continue
-                kept = _minimal(later, greedy_hitting(later))
-                if kept.bit_count() > budget:
-                    if bound == budget:
-                        kept = 0  # undecided
-                    else:
-                        found, kept = _search_below(
-                            later, search, kept, budget + 1, budget
-                        )
-                        if found > budget:
-                            continue
-            closed = 0
+                if bound < budget or completion or not dead:
+                    kept = _minimal(later, greedy_hitting(later))
+                    if kept.bit_count() <= budget:
+                        break
+                if bound == budget:
+                    mark, kept = listed, 0  # undecided
+                    break
+                found, kept = _search_below(later, search, kept, budget + 1, budget)
+                if found <= budget:
+                    break
+            else:
+                levels.pop()
+                if not levels:
+                    return
+                v = chosen.pop()
+                if marks.pop() == listed:
+                    dead = True
+                for blocks, quota in quotas:
+                    quota[blocks[v]] += 1
+                continue
+            level[1] = reach
+            v = low.bit_length() - 1
             for blocks, quota in quotas:
                 b = blocks[v]
                 quota[b] -= 1
                 if not quota[b]:
-                    closed |= b
+                    candidates &= ~b
             chosen.append(v)
-            yield from walk(rest, v + 1, kept, candidates & ~closed)
-            chosen.pop()
-            for blocks, quota in quotas:
-                quota[blocks[v]] += 1
-
-    return walk(columns, 0, root, candidates)
+            marks.append(mark)
+            uncovered, start, completion = rest, v + 1, kept
+            break
 
 
 def lexicographically_smallest(

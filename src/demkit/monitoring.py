@@ -185,15 +185,20 @@ def _solve(
     the monitor columns (after the cap check), reduced once for every solve
     that follows, the factor layers with one memo of block values for the
     partition bound, the greedy seed, and the minimum value with the nodes
-    its branch and bound explored. The layers keep a minimum set for the
-    walk: the one the search found, or else the greedy set, whose size the
-    value then is."""
+    its branch and bound explored. Where the reduction keeps every column,
+    the reduced columns are the monitor columns in another order, so the
+    search seeds from the greedy set already built, which depends only on
+    the columns. The layers keep a minimum set for the walk: the one the
+    search found, or else the greedy set, whose size the value then is."""
     matrix = monitor_matrix(g, max_n=max_n)
     cols = hitting.reduce_columns(matrix)
     parts = hitting.Layers(products.factor_layers(g))
     greedy = greedy_dem(g, matrix)
     value, nodes = hitting.minimum_hitting_set(
-        cols, upper=len(greedy), parts=parts
+        cols,
+        upper=len(greedy),
+        parts=parts,
+        greedy=greedy if len(cols) == len(matrix) else None,
     )
     if parts.found is None:
         parts.found = sum(1 << v for v in greedy)

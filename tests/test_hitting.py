@@ -1,5 +1,7 @@
+import sys
 from collections import Counter
 from itertools import combinations
+from math import inf
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -233,8 +235,8 @@ def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
     n, cols, parts = case
     first = _first_hitting_set(cols, n)
     size = len(first)
-    assert partition_bound(cols, parts) <= size
-    assert partition_bound(cols, (((1 << n) - 1,) * n,)) == size  # one block: exact
+    assert partition_bound(cols, parts, inf) <= size
+    assert partition_bound(cols, (((1 << n) - 1,) * n,), inf) == size  # one block: exact
     value, nodes = minimum_hitting_set(cols, parts=parts)
     assert value == size and nodes <= minimum_hitting_set(cols)[1]
     for budget in range(size - 2, size + 2):
@@ -243,10 +245,11 @@ def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(partitioned_columns())
-def test_partition_bound_matches_its_definition(case):
+@given(partitioned_columns(), st.integers(0, 12))
+def test_partition_bound_matches_its_definition(case, stop):
     # max over partitions of the sum, over distinct blocks, of the hitting
-    # number of the columns lying wholly inside the block
+    # number of the columns lying wholly inside the block; given a stop, the
+    # full bound when it lies below the stop, else a sum reaching the stop
     n, cols, parts = case
     expected = max(
         (
@@ -258,7 +261,12 @@ def test_partition_bound_matches_its_definition(case):
         ),
         default=0,
     )
-    assert partition_bound(cols, parts) == expected
+    assert partition_bound(cols, parts, inf) == expected
+    stopped = partition_bound(cols, parts, stop)
+    if expected < stop:
+        assert stopped == expected
+    else:
+        assert stop <= stopped <= expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,14 +382,15 @@ def test_walk_restricts_blocks_as_it_restricts_columns(monkeypatch):
     sets = enumerate_minimum_sets(cols, 2, 10, parts)
     assert sets == ((0, 1), (0, 3), (1, 2), (2, 3))
     # candidates 0 (its completion {1} carries the walk through 1), 3 below
-    # 0, then 1 and 2: past 1, {0, 2} loses 0; past 2, {1, 3} loses 1
-    assert [tested for tested, *_ in bounds] == [
-        masks({1, 3}),
-        [],
-        masks({2}),
-        masks({3}),
+    # 0, then 1 and 2: past 1, {0, 2} loses 0; past 2, {1, 3} loses 1. Each
+    # bound stops at the budget + 1, the first value that rejects
+    assert [(tested, stop) for tested, _, stop in bounds] == [
+        (masks({1, 3}), 2),
+        ([], 1),
+        (masks({2}), 2),
+        (masks({3}), 2),
     ]
-    assert all(p == parts for _, p in bounds)
+    assert all(p == parts for _, p, _ in bounds)
 
 
 def test_walk_descends_into_a_completion_untested(monkeypatch):
@@ -443,16 +452,70 @@ def test_witness_backtracks_below_a_tight_candidate(monkeypatch):
     # past vertex 0 the ring needs 3 vertices, but its disjoint bound is the
     # budget of 2 and its greedy set {1, 3, 4} is too large: 0 is accepted
     # undecided, the bound rejects 1 and 2 below it (3, 4 and 5 leave a
-    # column unhittable), and the walk backtracks to 1 with no solve
+    # column unhittable), and the walk backtracks to 1 with no solve. Once
+    # that subtree has died, the tight candidates 1, then 2 below it, are
+    # accepted undecided with no greedy set, and 4 below 2 is tested too
     assert solves == []
     assert bounds == [
         (sorted(ring),),  # vertex 0, budget 2: tight
         (masks({2, 3}, {3, 4}, {4, 5}),),  # 1 below 0, budget 1: rejected
         (masks({3, 4}, {5}, {4, 5}),),  # 2 below 0, budget 1: rejected
-        (masks({2, 3}, {3, 4}, {4, 5}),),  # vertex 1: greedy {3, 4} fits
-        (masks({3, 4}, {4, 5}),),  # 2 below 1: greedy {4} fits
+        (masks({2, 3}, {3, 4}, {4, 5}),),  # vertex 1, budget 2: tight
+        (masks({3, 4}, {4, 5}),),  # 2 below 1, budget 1: tight
         (masks({4, 5}),),  # 3 below 2, budget 0: rejected
+        ([],),  # 4 below 2, budget 0: tight, a set
     ]
+
+
+def test_walk_builds_no_greedy_set_under_a_tight_bound_once_a_subtree_died(
+    monkeypatch,
+):
+    greedy = _recording(monkeypatch, "greedy_hitting")
+    ring = masks({1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5})
+    cols = masks({0, 1}) + ring
+    # past vertex 0 the bound is tight and its greedy set {1, 3, 4} too
+    # large, and nothing lies below 0. After that, neither the witness nor
+    # the enumeration builds a greedy set for a tight candidate at a level
+    # with no completion: 1 at the root, 2 and 3 below 1, 4 and 5 below them
+    assert lexicographically_smallest(cols, 3) == (1, 2, 4)
+    assert greedy == [(sorted(ring),)]
+    greedy.clear()
+    assert enumerate_minimum_sets(cols, 3, 10) == ((1, 2, 4), (1, 3, 4), (1, 3, 5))
+    assert greedy == [(sorted(ring),)]
+
+
+def test_walk_builds_greedy_sets_under_a_tight_bound_while_no_subtree_died(
+    monkeypatch,
+):
+    # K2 x K3's edges as pair columns, as K4 x K6's vertex cover has them,
+    # with its rows and columns as the partitions
+    tests = _recording(monkeypatch, "partition_bound")
+    greedy = _recording(monkeypatch, "greedy_hitting")
+    cols = reduce_columns(
+        masks({0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}, {0, 3}, {1, 4}, {2, 5})
+    )
+    parts = ((0b000111,) * 3 + (0b111000,) * 3, (0b001001, 0b010010, 0b100100) * 2)
+    assert lexicographically_smallest(cols, 4, parts) == (0, 1, 3, 5)
+    # vertex 0 at the root, which has no completion: budget 3, partition
+    # bound 3. No subtree has died, so its greedy set {2, 3, 4} is built; it
+    # fits and carries the walk. Below it, 1 is tight too (budget 2) and its
+    # greedy set {3, 5} carries the walk to the end
+    past_0 = masks({1, 2}, {1, 4}, {3, 4}, {2, 5}, {3, 5}, {4, 5})
+    past_1 = masks({3, 4}, {2, 5}, {3, 5}, {4, 5})
+    assert [(tested, stop) for tested, _, stop in tests] == [(past_0, 4), (past_1, 3)]
+    assert partition_bound(past_0, parts, inf) == 3
+    assert partition_bound(past_1, parts, inf) == 2
+    assert [args for args in greedy if args[0] in (past_0, past_1)] == [
+        (past_0,),
+        (past_1,),
+    ]
+
+
+def test_walk_is_not_bounded_by_the_recursion_limit():
+    # 1,200 disjoint pairs: the walk chooses 1,200 vertices, one level each
+    cols = [0b11 << 2 * i for i in range(1200)]
+    assert len(cols) > sys.getrecursionlimit()
+    assert lexicographically_smallest(cols, 1200) == tuple(range(0, 2400, 2))
 
 
 @settings(max_examples=500, deadline=None)

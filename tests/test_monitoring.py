@@ -1,5 +1,6 @@
 import hashlib
 from itertools import combinations
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from demkit import (
 )
 from demkit import hitting, products
 from demkit.hitting import (
+    _components,
     bits,
     lexicographically_smallest,
     minimum_hitting_set,
@@ -296,6 +298,35 @@ class TestDemNumber:
         assert layers.found is None
 
     @pytest.mark.parametrize(
+        "spec, columns, kept",
+        [("cartesian(cycle:5|cycle:6)", 60, 60), ("cluster(cycle:6|cycle:4)", 30, 12)],
+    )
+    def test_the_value_search_builds_no_greedy_set_twice(
+        self, monkeypatch, spec, columns, kept
+    ):
+        greedy = []
+        original = hitting.greedy_hitting
+
+        def recording(cols):
+            greedy.append(sorted(cols))
+            return original(cols)
+
+        monkeypatch.setattr(hitting, "greedy_hitting", recording)
+        g = build(parse_expr(spec))
+        matrix = monitor_matrix(g, max_n=g.n)
+        reduced = reduce_columns(matrix)
+        assert (len(matrix), len(reduced)) == (columns, kept)
+        result = dem_number(g, max_n=g.n)
+        assert result.nodes_explored == self.PINNED_NODES[spec]
+        # the greedy set of every column, for DemResult.greedy, is built
+        # once: where the reduction keeps every column, the value search
+        # seeds from it. Where it drops some, the search seeds from the
+        # greedy sets of the reduced columns, here one per component
+        assert greedy.count(sorted(matrix)) == 1
+        if kept < columns:
+            assert all(sorted(comp) in greedy for comp in _components(reduced))
+
+    @pytest.mark.parametrize(
         "spec, value",
         [
             ("cartesian(cycle:4|cartesian(cycle:5|cycle:5))", 50),
@@ -529,7 +560,7 @@ def test_partition_bound_at_the_root_is_the_papers_lower_bound(left, right):
     g, _ = cartesian(a, b)
     cols = reduce_columns(monitor_matrix(g, max_n=g.n))
     expected = max(a.n * dem_number(b).value, b.n * dem_number(a).value)
-    assert partition_bound(cols, factor_layers(g)) == expected
+    assert partition_bound(cols, factor_layers(g), inf) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -724,10 +755,10 @@ class TestLayerLemma:
 
         memos = []
 
-        def recording(cols, parts):
+        def recording(cols, parts, stop):
             memos.append(parts.memo)
             before = set(parts.memo)
-            value = bound(cols, parts)
+            value = bound(cols, parts, stop)
             solved[phase[-1]] |= set(parts.memo) - before
             return value
 
