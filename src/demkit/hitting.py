@@ -13,7 +13,7 @@ whenever the uncovered columns fall apart. Sibling branches exclude already
 tried vertices, so no partial solution is explored twice. A solve's shared
 state (the nodes explored, the partitions and their memo of block values)
 is one ``_Search``. Given a target size, the search (``_search_below``)
-stops at the first solution that small: ``exists_hitting_set``.
+stops at the first solution that small, as the witness walk runs it.
 Its upper bound is the greedy set less its redundant vertices
 (``_minimal``): one pass over the columns keeps every seed vertex that some
 column meets alone, and the others are dropped from the highest id down
@@ -66,14 +66,18 @@ are memoized with ids shifted down to the block, so copies of one layer are
 solved once. Partitions given as :class:`Layers` carry the memo, so the
 value search and the walk after it solve each block once. Callers only ask
 whether the bound reaches a value, so it stops once one partition's running
-sum does, and the blocks after it go unsolved.
+sum does, and the blocks after it go unsolved. A block is not solved by the
+branch and bound: its value, mostly 1 or 2, is found by deepening from the
+block's disjoint-column bound with an exact test of k vertices (``_fits``),
+which builds no reduction, greedy set or search state. The same test
+answers ``exists_hitting_set``.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import groupby, islice
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceededError
@@ -319,8 +323,8 @@ def partition_bound(cols: Sequence[int], parts: Partitions, stop: float) -> int:
     Block values are memoized by the set of a block's columns, with ids
     shifted down to the block's lowest vertex, so that copies of one layer
     are solved once; the memo is that of ``parts`` when they are
-    :class:`Layers`, else a fresh one. The block solves' own nodes are not
-    counted.
+    :class:`Layers`, else a fresh one. A block is solved by
+    :func:`_block_values`' deepening test, which counts no search nodes.
     """
     memo = parts.memo if isinstance(parts, Layers) else {}
     best = 0
@@ -340,7 +344,9 @@ def _block_values(
     """The exact hitting number of the columns lying wholly inside each
     block of one partition that holds any, with the block mask: the terms of
     :func:`partition_bound`'s sum, memoized as there. The columns are
-    grouped at once and each block is solved when its term is asked for."""
+    grouped at once and each block is solved when its term is asked for: k
+    starts at the disjoint-column bound of its distinct columns and rises
+    until :func:`_fits` finds k vertices that hit them all."""
     inside: dict[int, list[int]] = {}
     for c in cols:
         b = blocks[(c & -c).bit_length() - 1]  # c's only possible block
@@ -351,8 +357,36 @@ def _block_values(
         key = frozenset(c >> low for c in group)
         value = memo.get(key)
         if value is None:
-            value = memo[key] = _solve(reduce_columns(group), _Search())[0]
+            distinct = sorted(key)
+            value = disjoint_lower_bound(distinct)
+            while not _fits(distinct, value):
+                value += 1
+            memo[key] = value
         yield b, value
+
+
+def _fits(cols: Sequence[int], k: int) -> bool:
+    """Whether at most k >= 1 vertices hit every one of the nonempty columns.
+
+    One vertex does when the columns share one: their AND is nonzero. For a
+    larger k, branch on a smallest column's vertices in id order: a child
+    takes its vertex, drops the columns it hits and bans its earlier
+    siblings' vertices, as in :func:`_search_below` (no column empties), and
+    is pruned when its disjoint-column bound exceeds the k - 1 vertices left
+    to it. No more than k columns (or none) take one vertex of each.
+    """
+    if len(cols) <= k:
+        return True
+    if k == 1:
+        return reduce(and_, cols) != 0
+    banned = 0
+    for v in bits(min(cols, key=int.bit_count)):
+        bit = 1 << v
+        rest = [c & ~banned for c in cols if not c & bit]
+        if disjoint_lower_bound(rest) < k and _fits(rest, k - 1):
+            return True
+        banned |= bit
+    return False
 
 
 def _solve(
@@ -476,16 +510,15 @@ def minimum_hitting_set(
     return value, search.nodes
 
 
-def exists_hitting_set(
-    columns: Sequence[int], budget: int, parts: Partitions = ()
-) -> bool:
-    """True iff some hitting set of size <= budget exists: the branch and
-    bound from the pruned greedy set, stopped at the first set that small."""
-    if budget < 0 or any(c == 0 for c in columns):
-        return False
+def exists_hitting_set(columns: Sequence[int], budget: int) -> bool:
+    """True iff some hitting set of size <= budget exists: the exact test
+    that solves the partition bound's blocks (:func:`_fits`), run on the
+    deduplicated columns once their disjoint-column bound is within the
+    budget."""
     cols = sorted(set(columns))
-    seed = _minimal(cols, greedy_hitting(cols))
-    return _search_below(cols, _Search(parts), seed, budget + 1, budget)[0] <= budget
+    if 0 in cols:
+        return False
+    return disjoint_lower_bound(cols) <= budget and _fits(cols, budget)
 
 
 def _lexicographic_walk(
@@ -512,16 +545,18 @@ def _lexicographic_walk(
     completion's lowest vertex comes before it. One search, with one memo of
     block values, serves the walk.
 
-    No greedy set for a doomed test. Once a subtree accepted undecided has
-    listed no set, a tight bound has been seen not to promise a set, and
-    greedy sets built under one mostly come out too large. From then on a
-    tight candidate at a level with no completion is accepted undecided
-    without its greedy set. The sets listed and their order do not change:
-    an undecided candidate is searched by descent, and a completion only
-    spares tests. Until a subtree dies the greedy set is built, as on
-    products of complete graphs, where it fits and carries the walk. The
-    levels live on a stack of the walk's own, so no set is too large for
-    Python's recursion limit.
+    No greedy set for a doomed test. When the latest subtree accepted
+    undecided has listed no set, a tight bound has been seen not to promise
+    a set, and greedy sets built under one mostly come out too large. Until
+    a later undecided subtree lists a set, a tight candidate at a level with
+    no completion is accepted undecided without its greedy set. The sets
+    listed and their order do not change: an undecided candidate is
+    searched by descent, and a completion only spares tests. Before any
+    subtree dies the greedy set is built, as on products of complete graphs,
+    where it fits and carries the walk; a witness walk stops at its first
+    set, so only an enumeration sees a subtree list sets after one died.
+    The levels live on a stack of the walk's own, so no set is too large
+    for Python's recursion limit.
 
     Layer quotas. A partition whose block values (:func:`_block_values`, on
     these columns) sum to ``size`` is tight: every set of ``size`` vertices
@@ -554,7 +589,7 @@ def _lexicographic_walk(
     if root is None or root.bit_count() != size or not all(c & root for c in columns):
         root = 0
     listed = 0  # sets listed so far
-    dead = False  # an undecided candidate's subtree has listed no set
+    dead = False  # the latest undecided candidate's subtree listed no set
     levels: list[list] = []  # per open level: uncovered, reach, completion, candidates
     uncovered, start, completion = columns, 0, root
     while True:
@@ -604,8 +639,9 @@ def _lexicographic_walk(
                 if not levels:
                     return
                 v = chosen.pop()
-                if marks.pop() == listed:
-                    dead = True
+                mark = marks.pop()
+                if mark != -1:  # only the latest undecided subtree counts
+                    dead = mark == listed
                 for blocks, quota in quotas:
                     quota[blocks[v]] += 1
                 continue

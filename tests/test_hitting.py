@@ -11,6 +11,7 @@ from demkit import hitting
 from demkit.errors import EnumerationCapExceededError
 from demkit.hitting import (
     Layers,
+    _block_values,
     _branching,
     _components,
     _minimal,
@@ -98,6 +99,8 @@ def test_exists_hitting_set():
     assert exists_hitting_set(cols, 2)
     assert not exists_hitting_set(cols, 1)
     assert exists_hitting_set([], 0)
+    pairs = [0b11 << 2 * i for i in range(1200)]  # past the recursion limit
+    assert exists_hitting_set(pairs, 1200) and not exists_hitting_set(pairs, 1199)
 
 
 def test_lexicographically_smallest():
@@ -240,7 +243,7 @@ def test_partition_bound_is_a_lower_bound_and_changes_no_answer(case):
     value, nodes = minimum_hitting_set(cols, parts=parts)
     assert value == size and nodes <= minimum_hitting_set(cols)[1]
     for budget in range(size - 2, size + 2):
-        assert exists_hitting_set(cols, budget, parts) == (budget >= size)
+        assert exists_hitting_set(cols, budget) == (budget >= size)
     assert lexicographically_smallest(cols, size, parts) == first
 
 
@@ -360,13 +363,71 @@ def test_disjoint_bound_needs_no_reduction(case):
     )
 
 
-def _recording(monkeypatch, name):
-    """Record the positional arguments of every call to ``hitting.<name>``."""
+@st.composite
+def block_groups(draw):
+    """The columns of one block, past the block values partitioned_columns()
+    reaches: Kn's pair columns for n <= 7 (value n - 1), less a drawn set of
+    vertices, as the walk masks columns to later vertices, which leaves
+    singletons; or any columns over up to 9 vertices."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        gone = draw(st.integers(0, (1 << n) - 1))
+        pairs = [(1 << a | 1 << b) & ~gone for a, b in combinations(range(n), 2)]
+        return n, [c for c in pairs if c]
+    n = draw(st.integers(1, 9))
+    return n, draw(st.lists(st.integers(1, (1 << n) - 1), max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_groups(), st.integers(0, 3))
+@example(case=(7, masks({1, 3, 5})), shift=3)  # one column
+@example(case=(5, masks({0, 2}, {2, 3}, {1, 2, 4})), shift=2)  # all share vertex 2
+@example(case=(7, masks(*combinations(range(7), 2))), shift=1)  # K7, value 6
+def test_block_values_are_the_blocks_hitting_numbers(case, shift):
+    # a block above vertex 0 and a copy of it above the block: each value is
+    # the hitting number of the block's columns, solved once for both
+    n, cols = case
+    size = len(_first_hitting_set(cols, n))
+    block = ((1 << n) - 1) << shift
+    blocks = (0,) * shift + (block,) * n + (block << n,) * n
+    lower = [c << shift for c in cols]
+    memo = {}
+    values = dict(_block_values(lower + [c << n for c in lower], blocks, memo))
+    assert values == ({block: size, block << n: size} if cols else {})
+    assert len(memo) == (1 if cols else 0)
+    assert exists_hitting_set(cols, size)
+    assert not exists_hitting_set(cols, size - 1)
+
+
+def test_block_kernel_deepens_from_the_disjoint_bound(monkeypatch):
+    # K5's pairs: disjoint bound 2, value 4. Each test branches on {0, 1}:
+    # taking 0 leaves K4 on 1-4, of disjoint bound 2; taking 1 bans 0, which
+    # leaves the pairs {0, v} as the singletons {2}, {3}, {4}, of bound 3.
+    # A child whose bound exceeds the vertices left to it is never tested
+    tests = _recording(monkeypatch, "_fits")
+    cols = masks(*combinations(range(5), 2))
+    assert dict(_block_values(cols, (0b11111,) * 5, {})) == {0b11111: 4}
+    assert [(len(tested), k) for tested, k in tests] == [
+        (10, 2),  # both children pruned
+        (10, 3),
+        (6, 2),  # took 0
+        (3, 1),  # took 0 and 1: K3 on 2-4 shares no vertex (2, banning 1, pruned)
+        (10, 4),
+        (6, 3),
+        (3, 2),
+        (1, 1),  # took 0, 1 and 2: {3, 4} is left
+    ]
+
+
+def _recording(monkeypatch, name, caller=None):
+    """Record the positional arguments of every call to ``hitting.<name>``,
+    or, given a function ``caller``, of the calls made directly from it."""
     calls = []
     original = getattr(hitting, name)
 
     def recording(*args, **kwargs):
-        calls.append(args)
+        if caller is None or sys._getframe(1).f_code is caller.__code__:
+            calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(hitting, name, recording)
@@ -474,14 +535,16 @@ def test_walk_builds_no_greedy_set_under_a_tight_bound_once_a_subtree_died(
     ring = masks({1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5})
     cols = masks({0, 1}) + ring
     # past vertex 0 the bound is tight and its greedy set {1, 3, 4} too
-    # large, and nothing lies below 0. After that, neither the witness nor
-    # the enumeration builds a greedy set for a tight candidate at a level
-    # with no completion: 1 at the root, 2 and 3 below 1, 4 and 5 below them
+    # large, and nothing lies below 0. After that, the witness builds no
+    # greedy set for a tight candidate at a level with no completion: 1 at
+    # the root, 2 below 1 and 4 below 2
     assert lexicographically_smallest(cols, 3) == (1, 2, 4)
     assert greedy == [(sorted(ring),)]
     greedy.clear()
+    # nor does the enumeration, until the undecided subtree of 2 below 1
+    # lists (1, 2, 4): then 3 below 1 and 5 below 3 build theirs again
     assert enumerate_minimum_sets(cols, 3, 10) == ((1, 2, 4), (1, 3, 4), (1, 3, 5))
-    assert greedy == [(sorted(ring),)]
+    assert greedy == [(sorted(ring),), (masks({4, 5}),), ([],)]
 
 
 def test_walk_builds_greedy_sets_under_a_tight_bound_while_no_subtree_died(
@@ -509,6 +572,20 @@ def test_walk_builds_greedy_sets_under_a_tight_bound_while_no_subtree_died(
         (past_0,),
         (past_1,),
     ]
+
+
+def test_walk_builds_greedy_sets_again_once_a_later_subtree_lists_sets(
+    monkeypatch,
+):
+    greedy = _recording(monkeypatch, "greedy_hitting")
+    cols = masks({1, 3}, {2, 3}, {0, 2}, {1, 2})
+    assert enumerate_minimum_sets(cols, 2, 10) == ((1, 2), (2, 3))
+    # past vertex 0 the bound 1 is tight and the greedy set {1, 2} too
+    # large, and nothing lies below 0. Vertex 1, tight too, is accepted
+    # undecided with no greedy set, and its subtree lists (1, 2). So at
+    # vertex 2, tight again, the greedy set {3} is built, and it completes
+    # (2, 3)
+    assert greedy == [(masks({1, 2}, {1, 3}, {2, 3}),), (masks({3}),)]
 
 
 def test_walk_is_not_bounded_by_the_recursion_limit():
@@ -553,7 +630,10 @@ LOOSE = ((0b10001, 0b110, 0b110, 0b1000, 0b10001, 0b100000),)  # none inside
 
 @pytest.mark.parametrize("listing", ["witness", "enumeration"])
 def test_walk_skips_every_vertex_a_tight_partition_closes(monkeypatch, listing):
-    bounds = _recording(monkeypatch, "disjoint_lower_bound")
+    # the walk's own tests: the block kernel bounds its blocks' columns too
+    bounds = _recording(
+        monkeypatch, "disjoint_lower_bound", hitting._lexicographic_walk
+    )
 
     def walk(parts):
         bounds.clear()
