@@ -24,8 +24,9 @@ No solve needs reduced columns, since a duplicate or a superset of another
 column changes no answer, only the work. So whoever builds a column set
 reduces it once (``reduce_columns``) and passes the result to every solve
 of it: the value search and the walk of the witness or the enumeration.
-The reduction tests each column only against the kept columns whose lowest
-vertex lies in it, since a column's subsets have their lowest vertex there.
+The reduction indexes the kept columns by their lowest bit, since a
+column's subsets have their lowest bit among its bits, and tests each column
+only against those indexed under its bits, until one lies inside it.
 
 The per-call kernels of ``_solve`` work on whole masks. Each vertex's
 count of columns is kept bit-sliced (``_coverage_digits``): ``digits[j]``
@@ -63,14 +64,17 @@ found, the bound at the root over the H-layers is |G|·dem(H), and the larger
 of the two partitions gives the paper's lower bound max(|G|·dem(H),
 |H|·dem(G)). The bound tightens as the search bans vertices. Block values
 are memoized with ids shifted down to the block, so copies of one layer are
-solved once. Partitions given as :class:`Layers` carry the memo, so the
-value search and the walk after it solve each block once. Callers only ask
-whether the bound reaches a value, so it stops once one partition's running
-sum does, and the blocks after it go unsolved. A block is not solved by the
-branch and bound: its value, mostly 1 or 2, is found by deepening from the
-block's disjoint-column bound with an exact test of k vertices (``_fits``),
-which builds no reduction, greedy set or search state. The same test
-answers ``exists_hitting_set``.
+solved once. A column's block and its shifted ids depend only on the column
+and the partition, so each partition keeps a table of them, and a column is
+placed once, not at every bound. Partitions given as :class:`Layers` carry
+the memo and the tables, so the value search and the walk after it solve
+each block and place each column once. Callers only ask whether the bound
+reaches a value, so it stops once one partition's running sum does, and the
+blocks after it go unsolved. A block is not solved by the branch and bound:
+its value, mostly 1 or 2, is found by deepening from the block's
+disjoint-column bound with an exact test of k vertices (``_fits``), which
+builds no reduction, greedy set or search state. The same test answers
+``exists_hitting_set``.
 """
 
 from __future__ import annotations
@@ -96,35 +100,41 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def _by_size(c: int) -> tuple[int, int]:
-    return c.bit_count(), c
-
-
 def reduce_columns(columns: Iterable[int]) -> list[int]:
     """Deduplicate and drop every column that is a superset of another; the
     columns kept go by size, then mask.
 
     A kept column k lies inside c only if k has fewer vertices, as the
-    duplicates are gone, and k's lowest vertex is a vertex of c. So the kept
-    columns are indexed by their lowest vertex, each size group entering the
+    duplicates are gone, and k's lowest bit is a bit of c. So the kept
+    columns are indexed by their lowest bit, each size group entering the
     index once it is done, and c is tested only against those indexed under
-    its own vertices. The empty column lies inside every column.
+    its own bits, stopping at the first that lies inside it. The empty
+    column lies inside every column.
     """
     cols = set(columns)
     if 0 in cols:
         return [0]
     kept: list[int] = []
-    lows = 0  # the lowest vertices of the indexed columns
+    lows = 0  # the lowest bits of the indexed columns
     by_low: dict[int, list[int]] = {}
-    for _, group in groupby(sorted(cols, key=_by_size), int.bit_count):
-        new = [
-            c
-            for c in group
-            if not any(k & c == k for v in bits(c & lows) for k in by_low[v])
-        ]
+    for _, group in groupby(sorted(sorted(cols), key=int.bit_count), int.bit_count):
+        new = []
+        for c in group:
+            common = c & lows
+            while common:
+                low = common & -common
+                for k in by_low[low]:
+                    if k & c == k:
+                        break
+                else:
+                    common ^= low
+                    continue
+                break  # k lies inside c
+            else:
+                new.append(c)
         for k in new:
             low = k & -k
-            by_low.setdefault(low.bit_length() - 1, []).append(k)
+            by_low.setdefault(low, []).append(k)
             lows |= low
         kept += new
     return kept
@@ -286,22 +296,24 @@ def _branching(cols: Sequence[int]) -> list[int]:
 
 class Layers(tuple):
     """Partitions that carry what the value search and the walk after it
-    share: one memo of block values for :func:`partition_bound`, so each
-    block is solved once, and ``found``, the minimum set (a vertex mask)
-    that :func:`minimum_hitting_set` found, or None, which the walk takes as
-    its root completion when it hits the walk's columns with ``size``
-    vertices."""
+    share: for :func:`partition_bound`, one memo of block values, so each
+    block is solved once, and one block table per partition, so each column
+    is placed in its block once (:func:`_block_values`); and ``found``, the
+    minimum set (a vertex mask) that :func:`minimum_hitting_set` found, or
+    None, which the walk takes as its root completion when it hits the
+    walk's columns with ``size`` vertices."""
 
     def __init__(self, parts: Partitions):
         self.memo: dict = {}
+        self.tables: list[dict] = [{} for _ in self]
         self.found: int | None = None
 
 
 class _Search:
     """What one solve shares across its recursion: the nodes explored and
     the partitions, as :class:`Layers` (plain partitions are wrapped here,
-    with a memo and ``found`` of their own). A walk keeps one for all its
-    solves."""
+    with a memo, tables and ``found`` of their own). A walk keeps one for
+    all its solves."""
 
     __slots__ = ("nodes", "parts")
 
@@ -322,15 +334,16 @@ def partition_bound(cols: Sequence[int], parts: Partitions, stop: float) -> int:
     answer from either value, and blocks past the stop are never solved.
     Block values are memoized by the set of a block's columns, with ids
     shifted down to the block's lowest vertex, so that copies of one layer
-    are solved once; the memo is that of ``parts`` when they are
-    :class:`Layers`, else a fresh one. A block is solved by
+    are solved once. The memo and the block tables are those of ``parts``
+    when they are :class:`Layers`, else fresh ones. A block is solved by
     :func:`_block_values`' deepening test, which counts no search nodes.
     """
-    memo = parts.memo if isinstance(parts, Layers) else {}
+    if not isinstance(parts, Layers):
+        parts = Layers(parts)
     best = 0
-    for blocks in parts:
+    for blocks, table in zip(parts, parts.tables):
         total = 0
-        for _, value in _block_values(cols, blocks, memo):
+        for _, value in _block_values(cols, blocks, table, parts.memo):
             total += value
             if total >= stop:
                 return total
@@ -339,22 +352,40 @@ def partition_bound(cols: Sequence[int], parts: Partitions, stop: float) -> int:
 
 
 def _block_values(
-    cols: Sequence[int], blocks: Sequence[int], memo: dict
+    cols: Sequence[int], blocks: Sequence[int], table: dict | None, memo: dict
 ) -> Iterator[tuple[int, int]]:
     """The exact hitting number of the columns lying wholly inside each
     block of one partition that holds any, with the block mask: the terms of
-    :func:`partition_bound`'s sum, memoized as there. The columns are
-    grouped at once and each block is solved when its term is asked for: k
+    :func:`partition_bound`'s sum, memoized as there.
+
+    The columns are grouped at once, each by one lookup in the partition's
+    block table: a column inside the block of its lowest vertex maps to that
+    block and the column shifted down to the block's lowest vertex, any
+    other column to ``()``. An entry depends only on the column and the
+    partition, so a table serves every call on that partition, and a column
+    missing from it is placed and entered. With no table (None), every
+    column is placed and none is kept, for a call whose columns no later
+    call need look up. Each block is solved when its term is asked for: k
     starts at the disjoint-column bound of its distinct columns and rises
     until :func:`_fits` finds k vertices that hit them all."""
     inside: dict[int, list[int]] = {}
+    lookup = {}.get if table is None else table.get
     for c in cols:
-        b = blocks[(c & -c).bit_length() - 1]  # c's only possible block
-        if not c & ~b:
-            inside.setdefault(b, []).append(c)
+        entry = lookup(c)
+        if entry is None:
+            b = blocks[(c & -c).bit_length() - 1]  # c's only possible block
+            entry = () if c & ~b else (b, c >> (b & -b).bit_length() - 1)
+            if table is not None:
+                table[c] = entry
+        if entry:
+            b, shifted = entry
+            group = inside.get(b)
+            if group is None:
+                inside[b] = [shifted]
+            else:
+                group.append(shifted)
     for b, group in inside.items():
-        low = (b & -b).bit_length() - 1
-        key = frozenset(c >> low for c in group)
+        key = frozenset(group)
         value = memo.get(key)
         if value is None:
             distinct = sorted(key)
@@ -543,7 +574,7 @@ def _lexicographic_walk(
     stops at the first candidate that strands a column (leaves it unhit with
     no later vertex): every later candidate strands it too, and a
     completion's lowest vertex comes before it. One search, with one memo of
-    block values, serves the walk.
+    block values and the block tables, serves the walk.
 
     No greedy set for a doomed test. When the latest subtree accepted
     undecided has listed no set, a tight bound has been seen not to promise
@@ -559,18 +590,19 @@ def _lexicographic_walk(
     for Python's recursion limit.
 
     Layer quotas. A partition whose block values (:func:`_block_values`, on
-    these columns) sum to ``size`` is tight: every set of ``size`` vertices
-    hitting the columns holds exactly val(B) vertices of each block B and
-    none outside them, since the blocks are disjoint and each needs val(B).
-    So only the vertices of blocks with quota left are candidates: choosing
-    v lowers the quota of v's block, a block whose quota reaches 0 closes,
-    and backtracking reopens it. A closed vertex lies in no listed set, so
-    the sets listed do not change. Partitions that are not tight restrict
-    nothing. On products this is the paper's lower bound case: where
-    dem(G box H) = |G|·dem(H), every minimum set gives each H-layer exactly
-    dem(H) monitors. The walk starts from the set the value search found
-    (``found`` of :class:`Layers`), when it hits the columns with ``size``
-    vertices, as the root's completion.
+    these columns, with no block table: this one call sees every column, and
+    the tests after it may look up none of them) sum to ``size`` is tight:
+    every set of ``size`` vertices hitting the columns holds exactly val(B)
+    vertices of each block B and none outside them, since the blocks are
+    disjoint and each needs val(B). So only the vertices of blocks with
+    quota left are candidates: choosing v lowers the quota of v's block, a
+    block whose quota reaches 0 closes, and backtracking reopens it. A
+    closed vertex lies in no listed set, so the sets listed do not change.
+    Partitions that are not tight restrict nothing. On products this is the
+    paper's lower bound case: where dem(G box H) = |G|·dem(H), every minimum
+    set gives each H-layer exactly dem(H) monitors. The walk starts from the
+    set the value search found (``found`` of :class:`Layers`), when it hits
+    the columns with ``size`` vertices, as the root's completion.
     """
     search = _Search(parts)
     parts = search.parts
@@ -580,7 +612,7 @@ def _lexicographic_walk(
     candidates = -1
     if 0 not in columns:
         for blocks in parts:
-            values = dict(_block_values(columns, blocks, parts.memo))
+            values = dict(_block_values(columns, blocks, None, parts.memo))
             if sum(values.values()) == size:
                 quota = {b: k for b, k in values.items() if k}
                 quotas.append((blocks, quota))

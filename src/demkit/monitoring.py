@@ -183,13 +183,14 @@ def _solve(
 ) -> tuple[list[int], tuple[int, ...], hitting.Layers, int, int]:
     """The value stage shared by :func:`dem_value` and :func:`dem_number`:
     the monitor columns (after the cap check), reduced once for every solve
-    that follows, the factor layers with one memo of block values for the
-    partition bound, the greedy seed, and the minimum value with the nodes
-    its branch and bound explored. Where the reduction keeps every column,
-    the reduced columns are the monitor columns in another order, so the
-    search seeds from the greedy set already built, which depends only on
-    the columns. The layers keep a minimum set for the walk: the one the
-    search found, or else the greedy set, whose size the value then is."""
+    that follows, the factor layers with one memo of block values and their
+    block tables for the partition bound, the greedy seed, and the minimum
+    value with the nodes its branch and bound explored. Where the reduction
+    keeps every column, the reduced columns are the monitor columns in
+    another order, so the search seeds from the greedy set already built,
+    which depends only on the columns. The layers keep a minimum set for the
+    walk: the one the search found, or else the greedy set, whose size the
+    value then is."""
     matrix = monitor_matrix(g, max_n=max_n)
     cols = hitting.reduce_columns(matrix)
     parts = hitting.Layers(products.factor_layers(g))
@@ -226,7 +227,8 @@ def dem_number(
     over the hitting-set instance, seeded with the greedy monitoring set. The
     search, the witness and the enumeration also prune with the partition
     bound over the layers of the graph's Cartesian prime factors
-    (``products.factor_layers``), and share one memo of its block values.
+    (``products.factor_layers``), and share one memo of its block values
+    and one table of each partition's blocks.
     The value comes from the same stage as :func:`dem_value`.
     """
     cols, greedy, parts, value, nodes = _solve(g, max_n)

@@ -186,10 +186,12 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     the two sides of xy (``Graph.sides``). Every copy of a factor edge has
     the same two sets, so a product computes about one cut per factor edge.
     Tau is read off the neighbour masks: at an end a of xy, with b the
-    other end, an edge az joins the class when z is a neighbour of b, or
-    when no neighbour of z lies in N(b) outside N[a]. Only unclassed edges
-    az are tested: one already classed would have drawn xy into its class.
-    Each class closes by one search over edge masks.
+    other end, an edge az joins the class when no neighbour of z lies in
+    N(b) outside N[a]. Only unclassed edges az that Theta leaves out are
+    tested: one already classed would have drawn xy into its class. No such
+    z is a neighbour of b: then d(z, a) = d(z, b) = 1, so a's side of xy
+    holds a but not z, cuts az, and Theta relates az to xy. Each class
+    closes by one search over edge masks.
 
     Returns ``()`` for a prime graph (as soon as the first class holds every
     edge), and for a graph with an edge on no chordless square without
@@ -219,7 +221,8 @@ def factor_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
                     e = around & -around
                     around ^= e
                     z = sum(edges[e.bit_length() - 1]) - a  # the other end
-                    if (adj[b] >> z) & 1 or not adj[z] & far:
+                    # z is no neighbour of b: a's side of xy cuts such an az
+                    if not adj[z] & far:
                         related |= e
             frontier |= related & ~closed
             closed |= related

@@ -69,6 +69,9 @@ nesting_columns = st.lists(
 # and {0, 1, 2} dropped, as in the whole set
 @example([0b0011, 0b1100, 0b1010, 0b0111])
 @example([0, 0b011, 0b101])  # every column holds the empty one
+# {0, 1, 2, 3} holds 0 and 2, the low vertices of the kept {0, 4} and
+# {2, 3}; only {2, 3}, indexed under the later one, lies inside it
+@example([0b10001, 0b1100, 0b1111])
 def test_reduce_matches_the_quadratic_loop(cols):
     assert reduce_columns(cols) == _reduce_columns_reference(cols)
 
@@ -391,12 +394,35 @@ def test_block_values_are_the_blocks_hitting_numbers(case, shift):
     block = ((1 << n) - 1) << shift
     blocks = (0,) * shift + (block,) * n + (block << n,) * n
     lower = [c << shift for c in cols]
-    memo = {}
-    values = dict(_block_values(lower + [c << n for c in lower], blocks, memo))
+    columns = lower + [c << n for c in lower]
+    table, memo = {}, {}
+    values = dict(_block_values(columns, blocks, table, memo))
     assert values == ({block: size, block << n: size} if cols else {})
     assert len(memo) == (1 if cols else 0)
+    assert dict(_block_values(columns, blocks, None, {})) == values  # no table
     assert exists_hitting_set(cols, size)
     assert not exists_hitting_set(cols, size - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_columns(), st.lists(st.integers(0, 11), max_size=8))
+def test_block_tables_serve_every_call_on_their_partitions(case, cuts):
+    # columns as the walk tests them: masked to the vertices from a cut on,
+    # the empty ones left out, all bounded through one Layers
+    n, cols, parts = case
+    layers = Layers(parts)
+    for cut in cuts:
+        above = -(1 << cut)
+        later = sorted({c & above for c in cols} - {0})
+        assert partition_bound(later, layers, inf) == partition_bound(later, parts, inf)
+    assert len(layers.tables) == len(parts)
+    for blocks, table in zip(parts, layers.tables):
+        for c, entry in table.items():
+            b = blocks[(c & -c).bit_length() - 1]
+            if c & ~b:
+                assert entry == ()
+            else:
+                assert entry == (b, c >> (b & -b).bit_length() - 1)
 
 
 def test_block_kernel_deepens_from_the_disjoint_bound(monkeypatch):
@@ -406,7 +432,7 @@ def test_block_kernel_deepens_from_the_disjoint_bound(monkeypatch):
     # A child whose bound exceeds the vertices left to it is never tested
     tests = _recording(monkeypatch, "_fits")
     cols = masks(*combinations(range(5), 2))
-    assert dict(_block_values(cols, (0b11111,) * 5, {})) == {0b11111: 4}
+    assert dict(_block_values(cols, (0b11111,) * 5, {}, {})) == {0b11111: 4}
     assert [(len(tested), k) for tested, k in tests] == [
         (10, 2),  # both children pruned
         (10, 3),
