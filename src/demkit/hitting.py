@@ -12,13 +12,11 @@ greedy disjoint-column lower bound, and split into independent components
 whenever the uncovered columns fall apart. Sibling branches exclude already
 tried vertices, so no partial solution is explored twice. A solve's shared
 state (the nodes explored, the partitions and their memo of block values)
-is one ``_Search``. Given a target size, the search (``_search_below``)
-stops at the first solution that small, as the witness walk runs it.
-Its upper bound is the greedy set less its redundant vertices
-(``_minimal``): one pass over the columns keeps every seed vertex that some
-column meets alone, and the others are dropped from the highest id down
-while every column stays hit. Greedy picks that later picks made redundant
-would otherwise leave a gap the search has to close by branching.
+is one ``_Search``. Its upper bound is the greedy set less its redundant
+vertices (``_minimal``): one pass over the columns keeps every seed vertex
+that some column meets alone, and the others are dropped from the highest
+id down while every column stays hit. Greedy picks that later picks made
+redundant would otherwise leave a gap the search has to close by branching.
 
 No solve needs reduced columns, since a duplicate or a superset of another
 column changes no answer, only the work. So whoever builds a column set
@@ -73,8 +71,10 @@ reaches a value, so it stops once one partition's running sum does, and the
 blocks after it go unsolved. A block is not solved by the branch and bound:
 its value, mostly 1 or 2, is found by deepening from the block's
 disjoint-column bound with an exact test of k vertices (``_fits``), which
-builds no reduction, greedy set or search state. The same test answers
-``exists_hitting_set``.
+builds no reduction, greedy set or search state and returns the set it
+finds. The same test answers ``exists_hitting_set`` and decides the walk's
+candidates whose bound leaves slack, so every fixed-size decision has one
+exact test, and the branch and bound only searches for values.
 """
 
 from __future__ import annotations
@@ -310,10 +310,9 @@ class Layers(tuple):
 
 
 class _Search:
-    """What one solve shares across its recursion: the nodes explored and
-    the partitions, as :class:`Layers` (plain partitions are wrapped here,
-    with a memo, tables and ``found`` of their own). A walk keeps one for
-    all its solves."""
+    """What one value search shares across its recursion: the nodes explored
+    and the partitions, as :class:`Layers` (plain partitions are wrapped
+    here, with a memo, tables and ``found`` of their own)."""
 
     __slots__ = ("nodes", "parts")
 
@@ -390,34 +389,40 @@ def _block_values(
         if value is None:
             distinct = sorted(key)
             value = disjoint_lower_bound(distinct)
-            while not _fits(distinct, value):
+            while _fits(distinct, value) is None:
                 value += 1
             memo[key] = value
         yield b, value
 
 
-def _fits(cols: Sequence[int], k: int) -> bool:
-    """Whether at most k >= 1 vertices hit every one of the nonempty columns.
+def _fits(cols: Sequence[int], k: int) -> int | None:
+    """A set of at most k vertices that hits every one of the nonempty
+    columns, as a vertex mask, or None when no such set exists. k = 0 is
+    reached only with no columns, from :func:`exists_hitting_set`.
 
-    One vertex does when the columns share one: their AND is nonzero. For a
-    larger k, branch on a smallest column's vertices in id order: a child
+    No more than k columns (or none) take the lowest vertex of each. One
+    vertex does when the columns share one: the lowest bit of their AND. For
+    a larger k, branch on a smallest column's vertices in id order: a child
     takes its vertex, drops the columns it hits and bans its earlier
-    siblings' vertices, as in :func:`_search_below` (no column empties), and
-    is pruned when its disjoint-column bound exceeds the k - 1 vertices left
-    to it. No more than k columns (or none) take one vertex of each.
+    siblings' vertices, as in :func:`_solve` (no column empties), and is
+    pruned when its disjoint-column bound exceeds the k - 1 vertices left to
+    it. The set is the first child's that finds one, with its vertex added.
     """
     if len(cols) <= k:
-        return True
+        return reduce(or_, [c & -c for c in cols], 0)
     if k == 1:
-        return reduce(and_, cols) != 0
+        common = reduce(and_, cols)
+        return common & -common or None
     banned = 0
     for v in bits(min(cols, key=int.bit_count)):
         bit = 1 << v
         rest = [c & ~banned for c in cols if not c & bit]
-        if disjoint_lower_bound(rest) < k and _fits(rest, k - 1):
-            return True
+        if disjoint_lower_bound(rest) < k:
+            found = _fits(rest, k - 1)
+            if found is not None:
+                return found | bit
         banned |= bit
-    return False
+    return None
 
 
 def _solve(
@@ -436,39 +441,6 @@ def _solve(
     again. ``cap`` (when given) bounds the search from above: only solutions
     smaller than ``cap`` are searched for, and ``cap`` is returned if none
     exists, with no set (None) unless the seed has that size.
-    """
-    if not cols:
-        return 0, 0
-    comps = _components(cols)
-    if len(comps) > 1:
-        return _solve_components(comps, search)
-    if greedy is None:
-        greedy = greedy_hitting(cols)
-    return _search_below(cols, search, _minimal(cols, greedy), cap)
-
-
-def _solve_components(comps: list[list[int]], search: _Search) -> tuple[int, int]:
-    """The summed minimum hitting size of independent components, and the
-    union of their sets."""
-    total = hit = 0
-    for comp in comps:
-        size, found = _solve(comp, search)
-        total += size
-        hit |= found
-    return total, hit
-
-
-def _search_below(
-    cols: Sequence[int],
-    search: _Search,
-    seed: int,
-    cap: int | None,
-    target: int = -1,
-) -> tuple[int, int | None]:
-    """The branch and bound of :func:`_solve`, started from the hitting set
-    ``seed`` (a vertex mask) on columns that need not form one component;
-    ``cap`` acts as there. The search stops at the first solution of size
-    <= ``target`` and returns it, achievable but not necessarily minimum.
     ``search.parts`` feed :func:`partition_bound`, tried at a node only when
     the disjoint-column bound failed to prune it.
 
@@ -477,13 +449,18 @@ def _search_below(
     is a smallest one, with k vertices, fewer than k of them are banned, and
     every column has at least k.
     """
+    if not cols:
+        return 0, 0
+    comps = _components(cols)
+    if len(comps) > 1:
+        return _solve_components(comps, search)
+    if greedy is None:
+        greedy = greedy_hitting(cols)
     parts = search.parts
-    best_set = seed
+    best_set = _minimal(cols, greedy)
     best = best_set.bit_count()
     if cap is not None and cap < best:
         best, best_set = cap, None
-    if best <= target:
-        return best, best_set
 
     def rec(uncovered: list[int], chosen: int, size: int) -> None:
         nonlocal best, best_set
@@ -508,12 +485,21 @@ def _search_below(
         for v in _branching(uncovered):
             bit = 1 << v
             rec([c & ~banned for c in uncovered if not c & bit], chosen | bit, size + 1)
-            if best <= target:
-                return
             banned |= bit
 
     rec(cols, 0, 0)
     return best, best_set
+
+
+def _solve_components(comps: list[list[int]], search: _Search) -> tuple[int, int]:
+    """The summed minimum hitting size of independent components, and the
+    union of their sets."""
+    total = hit = 0
+    for comp in comps:
+        size, found = _solve(comp, search)
+        total += size
+        hit |= found
+    return total, hit
 
 
 def minimum_hitting_set(
@@ -549,7 +535,7 @@ def exists_hitting_set(columns: Sequence[int], budget: int) -> bool:
     cols = sorted(set(columns))
     if 0 in cols:
         return False
-    return disjoint_lower_bound(cols) <= budget and _fits(cols, budget)
+    return disjoint_lower_bound(cols) <= budget and _fits(cols, budget) is not None
 
 
 def _lexicographic_walk(
@@ -568,13 +554,13 @@ def _lexicographic_walk(
     equals the budget (the walk descends, and backtracks if no set lies
     below: on products the partition bound is tight, so a wrong branch dies
     a level or two down); and only when the bound leaves slack, decided by
-    the branch and bound started from that greedy set, whose set is a
+    the exact test of ``budget`` vertices (:func:`_fits`), whose set is a
     completion too. The walk descends into a completion's lowest vertex with
     no test, keeping the rest; vertices below it are still tested. The walk
     stops at the first candidate that strands a column (leaves it unhit with
     no later vertex): every later candidate strands it too, and a
-    completion's lowest vertex comes before it. One search, with one memo of
-    block values and the block tables, serves the walk.
+    completion's lowest vertex comes before it. One :class:`Layers`, with
+    one memo of block values and the block tables, serves the walk.
 
     No greedy set for a doomed test. When the latest subtree accepted
     undecided has listed no set, a tight bound has been seen not to promise
@@ -604,8 +590,8 @@ def _lexicographic_walk(
     set the value search found (``found`` of :class:`Layers`), when it hits
     the columns with ``size`` vertices, as the root's completion.
     """
-    search = _Search(parts)
-    parts = search.parts
+    if not isinstance(parts, Layers):
+        parts = Layers(parts)
     chosen: list[int] = []
     marks: list[int] = []  # per chosen vertex: if undecided, sets listed before it
     quotas = []  # (blocks, quota left per block) of each tight partition
@@ -663,8 +649,8 @@ def _lexicographic_walk(
                 if bound == budget:
                     mark, kept = listed, 0  # undecided
                     break
-                found, kept = _search_below(later, search, kept, budget + 1, budget)
-                if found <= budget:
+                kept = _fits(later, budget)
+                if kept is not None:
                     break
             else:
                 levels.pop()

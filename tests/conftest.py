@@ -12,21 +12,28 @@ from demkit import FamilySpec, Graph, generate, graph
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
-    """The source of every ``Graph.levels_from`` call (one BFS each) made
-    while the test runs, and ``"all"`` for each all-sources sweep (the BFS
-    of every vertex at once, behind ``Graph.levels``), in call order."""
+    """The source of every single-source BFS made while the test runs (a
+    ``Graph.levels_from`` or ``Graph.distances_from`` call, one BFS each),
+    and ``"all"`` for each all-sources sweep (the BFS of every vertex at
+    once, behind ``Graph.levels``), in call order."""
     calls = []
-    bfs, sweep = Graph.levels_from, graph._sweep
+    levels_from, distances_from = Graph.levels_from, Graph.distances_from
+    sweep = graph._sweep
 
-    def counting(self, source):
+    def levels(self, source):
         calls.append(source)
-        return bfs(self, source)
+        return levels_from(self, source)
+
+    def distances(self, source, removed=None):
+        calls.append(source)
+        return distances_from(self, source, removed)
 
     def sweeping(n, edges):
         calls.append("all")
         return sweep(n, edges)
 
-    monkeypatch.setattr(Graph, "levels_from", counting)
+    monkeypatch.setattr(Graph, "levels_from", levels)
+    monkeypatch.setattr(Graph, "distances_from", distances)
     monkeypatch.setattr(graph, "_sweep", sweeping)
     return calls
 

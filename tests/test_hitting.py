@@ -1,7 +1,9 @@
 import sys
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 from math import inf
+from operator import or_
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,9 +16,9 @@ from demkit.hitting import (
     _block_values,
     _branching,
     _components,
+    _fits,
     _minimal,
     _Search,
-    _search_below,
     _solve,
     bits,
     disjoint_lower_bound,
@@ -276,41 +278,24 @@ def test_partition_bound_matches_its_definition(case, stop):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    partitioned_columns(),
-    st.none() | st.integers(0, 11),
-    st.integers(-1, 10),
-    st.booleans(),
-)
+@given(partitioned_columns(), st.none() | st.integers(0, 11), st.booleans())
 # splits into components below the root, where the set joins both
 @example(
     case=(4, masks({1}, {0, 3}, {2}, {0, 1, 2}, {3}), ()),
     cap=None,
-    target=-1,
     with_parts=False,
 )
-def test_solve_returns_a_set_of_the_size_it_reports(case, cap, target, with_parts):
-    # unreduced columns, as the witness walk passes them
+def test_solve_returns_a_set_of_the_size_it_reports(case, cap, with_parts):
+    # unreduced columns, as the witness walk passes them; the whole search,
+    # split into components at the root
     n, cols, parts = case
-    assume(cap is None or cap > target)  # as exists_hitting_set sets them
     size = len(_first_hitting_set(cols, n))
-    search = _Search(parts if with_parts else ())
-    seed = _minimal(cols, greedy_hitting(cols))
-    # the whole search, split into components at the root, and the search
-    # stopped at a target, as exists_hitting_set and the witness walk run it
-    for stop, (found, hit) in [
-        (-1, _solve(cols, search, cap)),
-        (target, _search_below(cols, search, seed, cap, target)),
-    ]:
-        if hit is None:  # nothing smaller than the cap
-            assert found == cap <= size
-            continue
-        assert hit.bit_count() == found
+    found, hit = _solve(cols, _Search(parts if with_parts else ()), cap)
+    if hit is None:  # nothing smaller than the cap
+        assert found == cap <= size
+    else:
+        assert hit.bit_count() == found == size
         assert all(c & hit for c in cols)
-        if size <= stop:
-            assert size <= found <= stop
-        else:
-            assert found == size
 
 
 @settings(max_examples=300, deadline=None)
@@ -329,13 +314,16 @@ def test_solve_starts_from_the_greedy_set_less_its_redundant_vertices(case):
     _, cols, _ = case
     assume(len(_components(cols)) == 1)  # a split solves each component
     with pytest.MonkeyPatch.context() as patch:
-        starts = _recording(patch, "_search_below")
-        _solve(cols, _Search())
-    seed = starts[0][2]  # the root search's
-    search = _Search()
-    size, kept = _search_below(cols, search, seed, None, len(cols))  # stops at once
-    greedy = sum(1 << v for v in greedy_hitting(cols))
-    assert search.nodes == 0 and kept == seed and seed.bit_count() == size
+        starts = _recording(patch, "_minimal", _solve)
+        size, found = _solve(cols, _Search())
+    chosen = greedy_hitting(cols)
+    assert starts[0] == (cols, chosen)  # the root search's, from the greedy set
+    seed = _minimal(cols, chosen)
+    # a set replaces the seed only when it is smaller
+    assert size <= seed.bit_count()
+    if size == seed.bit_count():
+        assert found == seed
+    greedy = sum(1 << v for v in chosen)
     assert seed & ~greedy == 0
     assert all(c & seed for c in cols)
     for v in bits(seed):
@@ -402,6 +390,28 @@ def test_block_values_are_the_blocks_hitting_numbers(case, shift):
     assert dict(_block_values(columns, blocks, None, {})) == values  # no table
     assert exists_hitting_set(cols, size)
     assert not exists_hitting_set(cols, size - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_sets() | block_groups())
+@example(case=(5, masks({0, 2}, {2, 3}, {1, 2, 4})))  # k = 1: all share vertex 2
+# k = 2: taking 1 leaves columns sharing no vertex, 2 is pruned, 4 leaves {3}
+@example(case=(8, masks({1, 2, 4}, {1, 3, 5}, {2, 4, 6}, {2, 3, 7}, {4, 6, 7})))
+def test_fits_returns_a_set_of_k_vertices_exactly_when_one_exists(case):
+    # every k from 1 up: the walk's slack tests, the block values and
+    # exists_hitting_set ask for a set of at most k vertices
+    n, cols = case
+    cols = [c for c in cols if c]
+    size = len(_first_hitting_set(cols, n))
+    union = reduce(or_, cols, 0)
+    for k in range(1, n + 2):
+        found = _fits(cols, k)
+        if size > k:
+            assert found is None, k
+        else:
+            assert found is not None and found.bit_count() <= k, k
+            assert found & ~union == 0
+            assert all(c & found for c in cols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -496,7 +506,7 @@ def test_walk_descends_into_a_completion_untested(monkeypatch):
 
 
 def test_witness_needs_no_solve_when_the_greedy_set_fits(monkeypatch):
-    solves = _recording(monkeypatch, "_search_below")
+    solves = _recording(monkeypatch, "_fits", hitting._lexicographic_walk)
     bounds = _recording(monkeypatch, "disjoint_lower_bound")
     cols = masks({0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5})
     assert lexicographically_smallest(cols, 3) == (0, 2, 4)
@@ -512,25 +522,27 @@ def test_witness_needs_no_solve_when_the_greedy_set_fits(monkeypatch):
 
 
 def test_witness_solves_once_when_completions_carry_it(monkeypatch):
-    solves = _recording(monkeypatch, "_search_below")
-    splits = _recording(monkeypatch, "_solve")
+    walk = hitting._lexicographic_walk
+    solves = _recording(monkeypatch, "_fits", walk)
+    bounds = _recording(monkeypatch, "disjoint_lower_bound", walk)
     greedy = _recording(monkeypatch, "greedy_hitting")
     later = masks({1, 2, 4}, {1, 3, 5}, {2, 4, 6}, {2, 3, 7}, {4, 6, 7})
     cols = masks({0}) + later
     assert lexicographically_smallest(cols, 3) == (0, 3, 4)
     # past vertex 0 (budget 2) the disjoint bound 1 leaves slack and the
-    # pruned greedy set {1, 2, 4} is too large: one branch and bound, started
-    # from that set, finds {3, 4}, whose completion carries the walk
-    searched, _, seed, *_ = solves[0]
-    assert (searched, seed) == (later, masks({1, 2, 4})[0])
-    # every other search solves a component below it; the walk's test
-    # builds its greedy set once
-    assert len(solves) == 1 + len(splits)
+    # pruned greedy set {1, 2, 4} is too large: one exact test of 2 vertices
+    # finds {3, 4}, whose completion carries the walk through 3 and 4 with
+    # no test of either
+    assert solves == [(later, 2)]
+    assert _fits(later, 2) == masks({3, 4})[0]
+    assert bounds[0] == (later,)  # vertex 0
+    assert (masks({4}, {4, 6}, {4, 6, 7}),) not in bounds  # 3 below 0
+    # the walk's test builds its greedy set once
     assert greedy.count((later,)) == 1
 
 
 def test_witness_backtracks_below_a_tight_candidate(monkeypatch):
-    solves = _recording(monkeypatch, "_search_below")
+    solves = _recording(monkeypatch, "_fits", hitting._lexicographic_walk)
     bounds = _recording(monkeypatch, "disjoint_lower_bound")
     ring = masks({1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5})
     cols = masks({0, 1}) + ring
