@@ -71,10 +71,11 @@ reaches a value, so it stops once one partition's running sum does, and the
 blocks after it go unsolved. A block is not solved by the branch and bound:
 its value, mostly 1 or 2, is found by deepening from the block's
 disjoint-column bound with an exact test of k vertices (``_fits``), which
-builds no reduction, greedy set or search state and returns the set it
-finds. The same test answers ``exists_hitting_set`` and decides the walk's
-candidates whose bound leaves slack, so every fixed-size decision has one
-exact test, and the branch and bound only searches for values.
+builds no reduction, greedy set or search state, splits its columns into
+components as ``_solve`` does, and returns the set it finds. The same test
+answers ``exists_hitting_set`` and decides the walk's candidates whose bound
+leaves slack, so every fixed-size decision has one exact test, and the
+branch and bound only searches for values.
 """
 
 from __future__ import annotations
@@ -143,24 +144,25 @@ def reduce_columns(columns: Iterable[int]) -> list[int]:
 def _components(cols: Sequence[int]) -> list[list[int]]:
     """Group columns whose vertex supports overlap (transitively).
 
-    The support of the first column grows until no column joins it; when
-    every column has joined, they form one group. Only a real split pays for
-    the merge loop, whose groups and member order the callers rely on.
+    The first column's support grows, sweeping only the columns not yet
+    joined, until all have (one group) or a sweep joins none: only a real
+    split pays for the merge loop, whose groups and order the callers rely on.
     """
     if not cols:
         return []
-    support = cols[0]
-    while True:
-        grown = support
-        joined = 0
-        for c in cols:
+    support, left = cols[0], cols
+    while left:
+        rest = []
+        for c in left:
             if c & support:
                 support |= c
-                joined += 1
-        if joined == len(cols):
-            return [list(cols)]
-        if support == grown:
+            else:
+                rest.append(c)
+        if len(rest) == len(left):
             break
+        left = rest
+    else:
+        return [list(cols)]
     comps: list[tuple[int, list[int]]] = []  # (support, members)
     for c in cols:
         merged_support = c
@@ -308,17 +310,21 @@ class Layers(tuple):
         self.tables: list[dict] = [{} for _ in self]
         self.found: int | None = None
 
+    @classmethod
+    def of(cls, parts: Partitions) -> Layers:
+        """``parts`` if Layers, else plain partitions wrapped afresh."""
+        return parts if isinstance(parts, cls) else cls(parts)
+
 
 class _Search:
     """What one value search shares across its recursion: the nodes explored
-    and the partitions, as :class:`Layers` (plain partitions are wrapped
-    here, with a memo, tables and ``found`` of their own)."""
+    and the partitions, as :class:`Layers` (:meth:`Layers.of`)."""
 
     __slots__ = ("nodes", "parts")
 
     def __init__(self, parts: Partitions = ()):
         self.nodes = 0
-        self.parts = parts if isinstance(parts, Layers) else Layers(parts)
+        self.parts = Layers.of(parts)
 
 
 def partition_bound(cols: Sequence[int], parts: Partitions, stop: float) -> int:
@@ -337,8 +343,7 @@ def partition_bound(cols: Sequence[int], parts: Partitions, stop: float) -> int:
     when they are :class:`Layers`, else fresh ones. A block is solved by
     :func:`_block_values`' deepening test, which counts no search nodes.
     """
-    if not isinstance(parts, Layers):
-        parts = Layers(parts)
+    parts = Layers.of(parts)
     best = 0
     for blocks, table in zip(parts, parts.tables):
         total = 0
@@ -396,31 +401,41 @@ def _block_values(
 
 
 def _fits(cols: Sequence[int], k: int) -> int | None:
-    """A set of at most k vertices that hits every one of the nonempty
-    columns, as a vertex mask, or None when no such set exists. k = 0 is
-    reached only with no columns, from :func:`exists_hitting_set`.
+    """A set of at most k vertices hitting every one of the nonempty columns,
+    as a vertex mask, or None if there is none. k = 0 is reached only with no
+    columns, from :func:`exists_hitting_set`.
 
-    No more than k columns (or none) take the lowest vertex of each. One
-    vertex does when the columns share one: the lowest bit of their AND. For
-    a larger k, branch on a smallest column's vertices in id order: a child
-    takes its vertex, drops the columns it hits and bans its earlier
-    siblings' vertices, as in :func:`_solve` (no column empties), and is
-    pruned when its disjoint-column bound exceeds the k - 1 vertices left to
-    it. The set is the first child's that finds one, with its vertex added.
+    No more than k columns take the lowest vertex of each; at k = 1, the
+    lowest bit of their AND. From k = 3 (a child at k = 2 is one AND test),
+    independent components (as in :func:`_solve`) each take their minimum
+    set, deepened from their disjoint-column bound until the sum passes k,
+    so their work adds up instead of multiplying. Else, branch on a smallest
+    column's vertices in id order as :func:`_solve` does (no column
+    empties), pruning a child whose disjoint-column bound exceeds the k - 1
+    vertices left to it; the set is the first child's, with its vertex added.
     """
     if len(cols) <= k:
         return reduce(or_, [c & -c for c in cols], 0)
     if k == 1:
         common = reduce(and_, cols)
         return common & -common or None
+    comps = _components(cols) if k > 2 else [cols]
+    if len(comps) > 1:
+        bounds = [disjoint_lower_bound(comp) for comp in comps]
+        slack, found = k - sum(bounds), 0
+        for comp, j in zip(comps, bounds):
+            while slack >= 0 and (hit := _fits(comp, j)) is None:
+                j, slack = j + 1, slack - 1
+            if slack < 0:
+                return None
+            found |= hit
+        return found
     banned = 0
     for v in bits(min(cols, key=int.bit_count)):
         bit = 1 << v
         rest = [c & ~banned for c in cols if not c & bit]
-        if disjoint_lower_bound(rest) < k:
-            found = _fits(rest, k - 1)
-            if found is not None:
-                return found | bit
+        if disjoint_lower_bound(rest) < k and (found := _fits(rest, k - 1)) is not None:
+            return found | bit
         banned |= bit
     return None
 
@@ -590,8 +605,7 @@ def _lexicographic_walk(
     set the value search found (``found`` of :class:`Layers`), when it hits
     the columns with ``size`` vertices, as the root's completion.
     """
-    if not isinstance(parts, Layers):
-        parts = Layers(parts)
+    parts = Layers.of(parts)
     chosen: list[int] = []
     marks: list[int] = []  # per chosen vertex: if undecided, sets listed before it
     quotas = []  # (blocks, quota left per block) of each tight partition
@@ -649,8 +663,7 @@ def _lexicographic_walk(
                 if bound == budget:
                     mark, kept = listed, 0  # undecided
                     break
-                kept = _fits(later, budget)
-                if kept is not None:
+                if (kept := _fits(later, budget)) is not None:
                     break
             else:
                 levels.pop()

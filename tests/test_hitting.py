@@ -541,6 +541,30 @@ def test_witness_solves_once_when_completions_carry_it(monkeypatch):
     assert greedy.count((later,)) == 1
 
 
+def test_witness_rejects_on_split_columns_one_component_at_a_time(monkeypatch):
+    # the vertex cover of a hub 0 joined to one vertex of each of 12
+    # triangles: the minimum takes two vertices of each triangle. Past vertex
+    # 0 (budget 23) the triangles' disjoint bound 12 leaves slack and their
+    # greedy set has 24 vertices, so the exact test rejects 0 on 12
+    # independent components. Each triangle is deepened alone (1 fails, 2
+    # fits) until the slack runs out, so the tests grow with the triangles;
+    # branching across them would try some 3^11 combinations of their covers
+    tests = _recording(monkeypatch, "_fits")
+    k = 12
+    tops = range(1, 3 * k, 3)  # each triangle's vertex joined to the hub
+    cols = []
+    for t in tops:
+        cols += masks({0, t}, {t, t + 1}, {t + 1, t + 2}, {t, t + 2})
+    assert lexicographically_smallest(cols, 2 * k) == tuple(
+        v for t in tops for v in (t, t + 1)
+    )
+    assert len(tests) < 4 * k
+    later = sorted(c for c in cols if not c & 1)
+    assert tests[0] == (later, 2 * k - 1)
+    assert _fits(later, 2 * k - 1) is None
+    assert _fits(later, 2 * k).bit_count() == 2 * k
+
+
 def test_witness_backtracks_below_a_tight_candidate(monkeypatch):
     solves = _recording(monkeypatch, "_fits", hitting._lexicographic_walk)
     bounds = _recording(monkeypatch, "disjoint_lower_bound")
