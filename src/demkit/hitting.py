@@ -11,12 +11,14 @@ fewest candidates (ties by candidate coverage, then mask value), prune with a
 greedy disjoint-column lower bound, and split into independent components
 whenever the uncovered columns fall apart. Sibling branches exclude already
 tried vertices, so no partial solution is explored twice. A solve's shared
-state (the nodes explored, the partitions and their memo of block values)
-is one ``_Search``. Its upper bound is the greedy set less its redundant
-vertices (``_minimal``): one pass over the columns keeps every seed vertex
-that some column meets alone, and the others are dropped from the highest
-id down while every column stays hit. Greedy picks that later picks made
-redundant would otherwise leave a gap the search has to close by branching.
+state (the nodes explored, the partitions with their memo of block values,
+and the set found) is one :class:`Layers`. The search always holds a set:
+it starts from the greedy set less its redundant vertices (``_minimal``),
+or from a smaller known hitting set that the caller passes as ``upper``.
+The pruning keeps every seed vertex that some column meets alone, and
+drops the others from the highest id down while every column stays hit.
+Greedy picks that later picks made redundant would otherwise leave a gap
+the search has to close by branching.
 
 No solve needs reduced columns, since a duplicate or a superset of another
 column changes no answer, only the work. So whoever builds a column set
@@ -297,34 +299,26 @@ def _branching(cols: Sequence[int]) -> list[int]:
 
 
 class Layers(tuple):
-    """Partitions that carry what the value search and the walk after it
-    share: for :func:`partition_bound`, one memo of block values, so each
-    block is solved once, and one block table per partition, so each column
-    is placed in its block once (:func:`_block_values`); and ``found``, the
-    minimum set (a vertex mask) that :func:`minimum_hitting_set` found, or
-    None, which the walk takes as its root completion when it hits the
-    walk's columns with ``size`` vertices."""
+    """Partitions that carry the state of one solve of a column set, which
+    the value search and the walk after it share: for
+    :func:`partition_bound`, one memo of block values, so each block is
+    solved once, and one block table per partition, so each column is placed
+    in its block once (:func:`_block_values`); ``nodes``, the nodes the
+    latest :func:`minimum_hitting_set` explored; and ``found``, the minimum
+    set (a vertex mask) it found, 0 before any search, which the walk takes
+    as its root completion when it hits the walk's columns with ``size``
+    vertices."""
 
     def __init__(self, parts: Partitions):
+        self.nodes = 0
         self.memo: dict = {}
         self.tables: list[dict] = [{} for _ in self]
-        self.found: int | None = None
+        self.found = 0
 
     @classmethod
     def of(cls, parts: Partitions) -> Layers:
         """``parts`` if Layers, else plain partitions wrapped afresh."""
         return parts if isinstance(parts, cls) else cls(parts)
-
-
-class _Search:
-    """What one value search shares across its recursion: the nodes explored
-    and the partitions, as :class:`Layers` (:meth:`Layers.of`)."""
-
-    __slots__ = ("nodes", "parts")
-
-    def __init__(self, parts: Partitions = ()):
-        self.nodes = 0
-        self.parts = Layers.of(parts)
 
 
 def partition_bound(cols: Sequence[int], parts: Partitions, stop: float) -> int:
@@ -442,53 +436,53 @@ def _fits(cols: Sequence[int], k: int) -> int | None:
 
 def _solve(
     cols: Sequence[int],
-    search: _Search,
-    cap: int | None = None,
+    parts: Layers,
+    upper: Sequence[int] | None = None,
     greedy: Sequence[int] | None = None,
-) -> tuple[int, int | None]:
-    """Exact minimum hitting size of nonempty columns, and the set found.
+) -> tuple[int, int]:
+    """Exact minimum hitting size of nonempty columns, and the set found,
+    always a vertex mask.
 
     The columns need not be reduced: a duplicate or a superset of another
-    column changes no answer, only the work. The set, a vertex mask, is the
-    seed (the greedy set less its redundant vertices, :func:`_minimal`), a
-    leaf or the union over the components. ``greedy``, when given, is
+    column changes no answer, only the work. The search starts from the
+    smaller of ``upper``, when given a known hitting set (sorted ids), and
+    the seed (the greedy set less its redundant vertices, :func:`_minimal`);
+    only smaller sets are searched for, and the set is the start, a leaf or
+    the union over the components. ``greedy``, when given, is
     :func:`greedy_hitting`'s set of these columns, which is then not built
-    again. ``cap`` (when given) bounds the search from above: only solutions
-    smaller than ``cap`` are searched for, and ``cap`` is returned if none
-    exists, with no set (None) unless the seed has that size.
-    ``search.parts`` feed :func:`partition_bound`, tried at a node only when
-    the disjoint-column bound failed to prune it.
+    again. ``parts`` count the nodes explored and feed
+    :func:`partition_bound`, tried at a node only when the disjoint-column
+    bound failed to prune it.
 
     A child drops the columns its vertex hits and bans the vertices its
     earlier siblings took, which leaves no column empty: the branch column
     is a smallest one, with k vertices, fewer than k of them are banned, and
-    every column has at least k.
+    every column has at least k. Only below the root are the columns split
+    into components, since the root's were split here.
     """
     if not cols:
         return 0, 0
     comps = _components(cols)
     if len(comps) > 1:
-        return _solve_components(comps, search)
+        return _solve_components(comps, parts)
     if greedy is None:
         greedy = greedy_hitting(cols)
-    parts = search.parts
     best_set = _minimal(cols, greedy)
+    if upper is not None and len(upper) < best_set.bit_count():
+        best_set = sum(1 << v for v in upper)
     best = best_set.bit_count()
-    if cap is not None and cap < best:
-        best, best_set = cap, None
 
     def rec(uncovered: list[int], chosen: int, size: int) -> None:
         nonlocal best, best_set
-        search.nodes += 1
+        parts.nodes += 1
         if not uncovered:
             if size < best:
                 best, best_set = size, chosen
             return
         if size + 1 >= best:
             return
-        comps = _components(uncovered)
-        if len(comps) > 1:
-            total, hit = _solve_components(comps, search)
+        if size and len(comps := _components(uncovered)) > 1:
+            total, hit = _solve_components(comps, parts)
             if size + total < best:
                 best, best_set = size + total, chosen | hit
             return
@@ -506,12 +500,12 @@ def _solve(
     return best, best_set
 
 
-def _solve_components(comps: list[list[int]], search: _Search) -> tuple[int, int]:
+def _solve_components(comps: list[list[int]], parts: Layers) -> tuple[int, int]:
     """The summed minimum hitting size of independent components, and the
     union of their sets."""
     total = hit = 0
     for comp in comps:
-        size, found = _solve(comp, search)
+        size, found = _solve(comp, parts)
         total += size
         hit |= found
     return total, hit
@@ -520,7 +514,7 @@ def _solve_components(comps: list[list[int]], search: _Search) -> tuple[int, int
 def minimum_hitting_set(
     columns: Sequence[int],
     *,
-    upper: int | None = None,
+    upper: Sequence[int] | None = None,
     parts: Partitions = (),
     greedy: Sequence[int] | None = None,
 ) -> tuple[int, int]:
@@ -528,18 +522,20 @@ def minimum_hitting_set(
 
     The columns need not be reduced; callers that solve one column set more
     than once reduce it once (:func:`reduce_columns`) and pass the result to
-    every solve. ``upper``, when given, must be the size of a known valid
-    hitting set. ``parts`` are vertex partitions for :func:`partition_bound`;
-    given as :class:`Layers`, they keep the set found (None when the value
-    is ``upper`` and the search found no set that small). ``greedy``, when
-    given, must be :func:`greedy_hitting`'s set of these columns; the search
-    seeds from it instead of building it again.
+    every solve. ``upper``, when given, must be a known hitting set (sorted
+    ids); the search starts from it when it is smaller than the seed.
+    ``parts`` are vertex partitions for :func:`partition_bound`; given as
+    :class:`Layers`, they keep the node count and the minimum set found, for
+    the walk after the search. ``greedy``, when given, must be
+    :func:`greedy_hitting`'s set of these columns; the search seeds from it
+    instead of building it again.
     """
     if any(c == 0 for c in columns):
         raise ValueError("unhittable empty column")
-    search = _Search(parts)
-    value, search.parts.found = _solve(columns, search, upper, greedy)
-    return value, search.nodes
+    parts = Layers.of(parts)
+    parts.nodes = 0
+    value, parts.found = _solve(columns, parts, upper, greedy)
+    return value, parts.nodes
 
 
 def exists_hitting_set(columns: Sequence[int], budget: int) -> bool:
@@ -618,7 +614,7 @@ def _lexicographic_walk(
                 quotas.append((blocks, quota))
                 candidates &= reduce(or_, quota, 0)
     root = parts.found
-    if root is None or root.bit_count() != size or not all(c & root for c in columns):
+    if root.bit_count() != size or not all(c & root for c in columns):
         root = 0
     listed = 0  # sets listed so far
     dead = False  # the latest undecided candidate's subtree listed no set
@@ -702,10 +698,12 @@ def lexicographically_smallest(
 
 def lexicographic_minimum(columns: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Exact minimum hitting-set size and the lexicographically smallest
-    minimum set."""
+    minimum set, whose walk starts from the set the search found: both share
+    one :class:`Layers`, with no partitions."""
     cols = reduce_columns(columns)
-    value, _ = minimum_hitting_set(cols)
-    return value, lexicographically_smallest(cols, value)
+    parts = Layers(())
+    value, _ = minimum_hitting_set(cols, parts=parts)
+    return value, lexicographically_smallest(cols, value, parts)
 
 
 def enumerate_minimum_sets(

@@ -188,21 +188,19 @@ def _solve(
     value with the nodes its branch and bound explored. Where the reduction
     keeps every column, the reduced columns are the monitor columns in
     another order, so the search seeds from the greedy set already built,
-    which depends only on the columns. The layers keep a minimum set for the
-    walk: the one the search found, or else the greedy set, whose size the
-    value then is."""
+    which depends only on the columns. The greedy set is also the search's
+    ``upper`` set, its start where its own pruned seed is larger, so the
+    layers always keep a minimum set for the walk."""
     matrix = monitor_matrix(g, max_n=max_n)
     cols = hitting.reduce_columns(matrix)
     parts = hitting.Layers(products.factor_layers(g))
     greedy = greedy_dem(g, matrix)
     value, nodes = hitting.minimum_hitting_set(
         cols,
-        upper=len(greedy),
+        upper=greedy,
         parts=parts,
         greedy=greedy if len(cols) == len(matrix) else None,
     )
-    if parts.found is None:
-        parts.found = sum(1 << v for v in greedy)
     return cols, greedy, parts, value, nodes
 
 

@@ -29,9 +29,6 @@ class ProductVertexMap(NamedTuple):
     h_order: int
     origins: tuple[Origin, ...]
 
-    def origin(self, pid: int) -> Origin:
-        return self.origins[pid]
-
     def vertex(self, tag: str, copy: int, index: int) -> int:
         try:
             return self.origins.index((tag, copy, index))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from demkit import hitting
 from demkit.errors import EnumerationCapExceededError
+from demkit.exprs import build, parse_expr
 from demkit.hitting import (
     Layers,
     _block_values,
@@ -18,18 +19,19 @@ from demkit.hitting import (
     _components,
     _fits,
     _minimal,
-    _Search,
     _solve,
     bits,
     disjoint_lower_bound,
     enumerate_minimum_sets,
     exists_hitting_set,
     greedy_hitting,
+    lexicographic_minimum,
     lexicographically_smallest,
     minimum_hitting_set,
     partition_bound,
     reduce_columns,
 )
+from demkit.monitoring import dem_value
 
 
 def masks(*sets):
@@ -91,7 +93,21 @@ def test_disjoint_columns_decompose():
 
 def test_upper_bound_is_respected():
     cols = masks({0}, {1}, {2})
-    assert minimum_hitting_set(cols, upper=3)[0] == 3
+    assert minimum_hitting_set(cols, upper=(0, 1, 2))[0] == 3
+
+
+def test_search_starts_from_a_smaller_upper_set():
+    # greedy takes 3, then 0 and 2, and no vertex of {0, 2, 3} is redundant;
+    # the minimum sets are {0, 4} and {1, 4}. From {1, 4} nothing smaller is
+    # found, so the set kept is the one passed, where the seed's search
+    # would end on {0, 4}
+    cols = masks({0, 1, 3}, {3, 4}, {2, 4}, {2, 3, 4}, {0, 1})
+    assert _minimal(cols, greedy_hitting(cols)) == masks({0, 2, 3})[0]
+    layers = Layers(())
+    assert minimum_hitting_set(cols, parts=layers)[0] == 2
+    assert layers.found == masks({0, 4})[0]
+    assert minimum_hitting_set(cols, upper=(1, 4), parts=layers)[0] == 2
+    assert layers.found == masks({1, 4})[0]
 
 
 def test_unhittable_column_rejected():
@@ -278,24 +294,25 @@ def test_partition_bound_matches_its_definition(case, stop):
 
 
 @settings(max_examples=300, deadline=None)
-@given(partitioned_columns(), st.none() | st.integers(0, 11), st.booleans())
+@given(partitioned_columns(), st.none() | st.integers(0, 4095), st.booleans())
 # splits into components below the root, where the set joins both
 @example(
     case=(4, masks({1}, {0, 3}, {2}, {0, 1, 2}, {3}), ()),
-    cap=None,
+    extra=None,
     with_parts=False,
 )
-def test_solve_returns_a_set_of_the_size_it_reports(case, cap, with_parts):
+def test_solve_returns_a_set_of_the_size_it_reports(case, extra, with_parts):
     # unreduced columns, as the witness walk passes them; the whole search,
-    # split into components at the root
+    # split into components at the root. The upper set, when given, is a
+    # minimum set with any extra vertices: with none, nothing smaller exists
     n, cols, parts = case
-    size = len(_first_hitting_set(cols, n))
-    found, hit = _solve(cols, _Search(parts if with_parts else ()), cap)
-    if hit is None:  # nothing smaller than the cap
-        assert found == cap <= size
-    else:
-        assert hit.bit_count() == found == size
-        assert all(c & hit for c in cols)
+    first = _first_hitting_set(cols, n)
+    upper = None
+    if extra is not None:
+        upper = bits(sum(1 << v for v in first) | extra & ((1 << n) - 1))
+    found, hit = _solve(cols, Layers(parts if with_parts else ()), upper)
+    assert hit.bit_count() == found == len(first)
+    assert all(c & hit for c in cols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,7 +332,7 @@ def test_solve_starts_from_the_greedy_set_less_its_redundant_vertices(case):
     assume(len(_components(cols)) == 1)  # a split solves each component
     with pytest.MonkeyPatch.context() as patch:
         starts = _recording(patch, "_minimal", _solve)
-        size, found = _solve(cols, _Search())
+        size, found = _solve(cols, Layers(()))
     chosen = greedy_hitting(cols)
     assert starts[0] == (cols, chosen)  # the root search's, from the greedy set
     seed = _minimal(cols, chosen)
@@ -723,6 +740,30 @@ def test_walk_skips_every_vertex_a_tight_partition_closes(monkeypatch, listing):
     assert bounds == free
 
 
+def test_lexicographic_minimum_walks_from_the_search_set(monkeypatch):
+    # cover and the dimensions: the walk gets the search's Layers, whose set
+    # is a minimum one
+    walks = _recording(monkeypatch, "lexicographically_smallest")
+    cols = masks({0, 1, 3}, {3, 4}, {2, 4}, {2, 3, 4}, {0, 1})
+    assert lexicographic_minimum(cols) == (2, (0, 4))
+    [(columns, size, layers)] = walks
+    assert layers.found.bit_count() == size == 2
+    assert all(c & layers.found for c in columns)
+
+
+@pytest.mark.parametrize(
+    "spec, calls",
+    [("cartesian(book:2|book:2)", 60), ("corona(cycle:8|complete:4)", 25)],
+)
+def test_the_search_splits_each_node_once(monkeypatch, spec, calls):
+    # the root's columns are split by the solve that searches them, and not
+    # again at its root node
+    comps = _recording(monkeypatch, "_components")
+    g = build(parse_expr(spec))
+    dem_value(g, max_n=g.n)
+    assert len(comps) == calls
+
+
 def test_walk_starts_from_the_set_its_layers_carry(monkeypatch):
     bounds = _recording(monkeypatch, "disjoint_lower_bound")
     cols = masks({0, 1}, {2, 3})
@@ -747,7 +788,7 @@ def test_a_root_completion_changes_no_listed_set(case, pick):
     )
     # a minimum set, a set one vertex short or one too many, and no set
     start = sum(1 << v for v in minimum[pick % len(minimum)])
-    for found in (start, start & (start - 1), start | 1 << n, None):
+    for found in (start, start & (start - 1), start | 1 << n, 0):
         layers = Layers(parts)
         layers.found = found
         for columns in (cols, reduce_columns(cols)):

@@ -286,7 +286,8 @@ class TestDemNumber:
 
     def test_a_capped_search_that_finds_no_set_walks_from_the_greedy_set(self):
         # the raw greedy set (3, 5) has 2 vertices, the pruned seed on the
-        # reduced columns 3: the value search, capped at 2, finds no set
+        # reduced columns 3: the value search starts from (3, 5) and finds
+        # no smaller set
         g = build(parse_expr("randconn:8:1/2:seed=0"))
         result = dem_number(g)
         assert (result.value, result.witness) == (2, (1, 6))
@@ -294,8 +295,8 @@ class TestDemNumber:
         matrix = monitor_matrix(g)
         layers = hitting.Layers(factor_layers(g))
         cols = reduce_columns(matrix)
-        assert minimum_hitting_set(cols, upper=2, parts=layers) == (2, 1)
-        assert layers.found is None
+        assert minimum_hitting_set(cols, upper=(3, 5), parts=layers) == (2, 1)
+        assert layers.found == 1 << 3 | 1 << 5
 
     @pytest.mark.parametrize(
         "spec, columns, kept",
@@ -338,8 +339,8 @@ class TestDemNumber:
         g = build(parse_expr(spec))
         matrix = monitor_matrix(g, max_n=g.n)
         cols = reduce_columns(matrix)
-        upper = len(greedy_dem(g, matrix))
-        assert upper > value  # the greedy set alone would leave a gap
+        upper = greedy_dem(g, matrix)
+        assert len(upper) > value  # the greedy set alone would leave a gap
         assert minimum_hitting_set(
             cols, upper=upper, parts=factor_layers(g)
         ) == (value, 1)
