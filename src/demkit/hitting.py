@@ -445,10 +445,10 @@ def _solve(
 
     The columns need not be reduced: a duplicate or a superset of another
     column changes no answer, only the work. The search starts from the
-    smaller of ``upper``, when given a known hitting set (sorted ids), and
-    the seed (the greedy set less its redundant vertices, :func:`_minimal`);
-    only smaller sets are searched for, and the set is the start, a leaf or
-    the union over the components. ``greedy``, when given, is
+    seed (the greedy set less its redundant vertices, :func:`_minimal`), or
+    from ``upper``, a known hitting set (sorted ids), where that is smaller.
+    It looks only for smaller sets, so the set it returns is that start, a
+    leaf or the union over the components. ``greedy``, when given, is
     :func:`greedy_hitting`'s set of these columns, which is then not built
     again. ``parts`` count the nodes explored and feed
     :func:`partition_bound`, tried at a node only when the disjoint-column
